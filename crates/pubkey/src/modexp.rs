@@ -372,9 +372,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::NativeMpn;
+    use crate::ops::{ModeledMpn, NativeMpn};
     use crate::space::{CrtMode, ModExpConfig};
     use mpint::gcd;
+    use std::collections::BTreeSet;
 
     fn nat(hex: &str) -> Natural {
         Natural::from_hex_str(hex).unwrap()
@@ -399,6 +400,59 @@ mod tests {
                 .unwrap_or_else(|err| panic!("{cfg}: {err}"));
             assert_eq!(got, expect, "config {cfg}");
         }
+    }
+
+    /// Non-constant per-op models, distinct per radix, so any change in
+    /// which ops run at which lengths shows in the cycle total.
+    fn sloped_ops() -> ModeledMpn {
+        use macromodel::model::{MacroModel, Monomial};
+        let registry = |scale: f64| {
+            crate::ops::opname::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &name)| {
+                    let basis = vec![Monomial::constant(1), Monomial::linear(1, 0)];
+                    let coeffs = vec![scale * (3.0 + i as f64), scale * (1.25 + 0.5 * i as f64)];
+                    (name, MacroModel::new(name, basis, coeffs))
+                })
+                .collect()
+        };
+        ModeledMpn::with_radix_models(registry(1.0), registry(0.7), 2.5)
+    }
+
+    /// Cycle bits and call counts of two back-to-back `mod_exp` passes
+    /// sharing one cache (the explore workload's cold + warm pass).
+    fn two_pass_costs(
+        cfg: &ModExpConfig,
+        (m, b, e): &(Natural, Natural, Natural),
+    ) -> Vec<(u64, BTreeMap<&'static str, u64>)> {
+        let mut ops = sloped_ops();
+        let mut cache = ExpCache::new();
+        (0..2)
+            .map(|_| {
+                MpnOps::<u32>::reset(&mut ops);
+                mod_exp(&mut ops, b, e, m, cfg, &mut cache).unwrap();
+                (
+                    MpnOps::<u32>::cycles(&ops).to_bits(),
+                    MpnOps::<u32>::call_counts(&ops).clone(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn modexp_cost_depends_only_on_the_shape() {
+        let m = nat("e3a1f0000000004d"); // odd 64-bit modulus
+        let fixture = (m, nat("0123456789abcdef"), nat("b7e151628aed2a6b"));
+        let mut shapes = BTreeSet::new();
+        for cfg in ModExpConfig::enumerate() {
+            let shape = cfg.modexp_shape();
+            shapes.insert(shape);
+            let costs = two_pass_costs(&cfg, &fixture);
+            assert!(costs.iter().all(|(bits, _)| f64::from_bits(*bits) > 0.0));
+            assert_eq!(costs, two_pass_costs(&shape, &fixture), "config {cfg}");
+        }
+        assert_eq!(shapes.len(), 150, "5 mul × 5 window × 2 radix × 3 cache");
     }
 
     #[test]

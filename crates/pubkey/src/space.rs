@@ -203,6 +203,20 @@ impl ModExpConfig {
         }
         out
     }
+
+    /// The part of this configuration that
+    /// [`mod_exp`](crate::modexp::mod_exp) reads: multiplication
+    /// strategy, window, radix and cache mode, with `crt` cleared to
+    /// [`CrtMode::None`]. Only [`mod_exp_crt`](crate::modexp::mod_exp_crt)
+    /// reads the CRT axis, so configurations with equal shapes cost the
+    /// same on a plain `mod_exp` workload (150 distinct shapes in the
+    /// 450-point lattice).
+    pub fn modexp_shape(&self) -> ModExpConfig {
+        ModExpConfig {
+            crt: CrtMode::None,
+            ..*self
+        }
+    }
 }
 
 impl ModExpConfig {

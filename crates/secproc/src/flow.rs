@@ -835,6 +835,15 @@ impl<'a> FlowCtx<'a> {
     /// (`base^exp mod m` with `bits`-bit operands). Purely native —
     /// no ISS runs, so the fault policy does not apply.
     ///
+    /// The workload is a plain `mod_exp`, which never reads the CRT
+    /// axis, so the 450 candidates have only 150 distinct costs: each
+    /// cost shape ([`ModExpConfig::modexp_shape`]) is evaluated once and
+    /// shared by its three CRT modes. A candidate's estimate is the
+    /// second of two passes over one [`ExpCache`]; when the first pass
+    /// leaves the cache empty, the second would repeat it and is
+    /// skipped. Both savings are exact: every estimate, and the ranking,
+    /// are bit-identical to two full passes per candidate.
+    ///
     /// When a metrics registry is attached, publishes
     /// `flow.phase2.candidates_evaluated`, a
     /// `flow.phase2.candidate_cycles` histogram over the whole space,
@@ -1928,10 +1937,60 @@ pub fn mark_pareto_front(points: &mut [CrossPoint]) -> usize {
     size
 }
 
-/// Phase 2 implementation: the 450-candidate lattice is evaluated in
-/// parallel (each candidate owns its modeled-ops provider and cache),
-/// then ranked and offered to the Pareto front in enumeration order, so
-/// the result is bit-identical to the serial run for any thread count.
+/// The fixed phase-2 workload, `base^exp mod m` with `bits`-bit
+/// operands: the odd modulus (top bit set), base and exponent drawn
+/// from seed `0xE4B0`. Phase 2, [`explore_single`] and co-simulation
+/// all cost this one workload, so their cycle counts compare.
+struct ModExpWorkload {
+    m: Natural,
+    base: Natural,
+    exp: Natural,
+}
+
+impl ModExpWorkload {
+    fn new(bits: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(0xE4B0);
+        let mut m = Natural::random_bits(&mut rng, bits);
+        if m.is_even() {
+            m = &m + &Natural::one();
+        }
+        let base = Natural::random_below(&mut rng, &m);
+        let exp = Natural::random_bits(&mut rng, bits);
+        ModExpWorkload { m, base, exp }
+    }
+}
+
+/// Macro-model cycles of one candidate on `work`, with the result of
+/// the costed pass. The candidate runs twice on one [`ExpCache`] and
+/// the second, warm pass is costed. When the first pass leaves the
+/// cache empty, the second would start from the same state and repeat
+/// it exactly, so the first pass is costed and the second skipped.
+fn model_candidate(
+    models: &KernelModels,
+    glue_cost: f64,
+    work: &ModExpWorkload,
+    candidate: &ModExpConfig,
+) -> Result<(f64, Natural), ModExpError> {
+    let mut ops = models.modeled_ops(glue_cost);
+    let mut cache = ExpCache::new();
+    let ModExpWorkload { m, base, exp } = work;
+    let first = mod_exp(&mut ops, base, exp, m, candidate, &mut cache)?;
+    if cache.context_entries() + cache.table_entries() == 0 {
+        return Ok((MpnOps::<u32>::cycles(&ops), first));
+    }
+    MpnOps::<u32>::reset(&mut ops);
+    let second = mod_exp(&mut ops, base, exp, m, candidate, &mut cache)?;
+    Ok((MpnOps::<u32>::cycles(&ops), second))
+}
+
+/// Phase 2 implementation. The candidates' cost shapes
+/// ([`ModExpConfig::modexp_shape`]: the 450-point lattice has 150) are
+/// evaluated once each, in parallel and in enumeration order (each
+/// shape owns its modeled-ops provider and cache). The estimates then
+/// fan back out to all 450 candidates, which are observed, offered to
+/// the Pareto front and ranked in enumeration order, so the result is
+/// bit-identical to costing every candidate serially, for any thread
+/// count.
 fn explore_impl(
     models: &KernelModels,
     bits: usize,
@@ -1959,38 +2018,30 @@ fn explore_impl(
     let evaluated = reg.counter("flow.phase2.candidates_evaluated");
     let cycles_hist = reg.histogram("flow.phase2.candidate_cycles");
     let mut front = ParetoFront::new();
-    let mut rng = StdRng::seed_from_u64(0xE4B0);
-    let m = {
-        // An odd modulus with the top bit set.
-        let mut m = Natural::random_bits(&mut rng, bits);
-        if m.is_even() {
-            m = &m + &Natural::one();
-        }
-        m
-    };
-    let base = Natural::random_below(&mut rng, &m);
-    let exp = Natural::random_bits(&mut rng, bits);
-    let expect = base.pow_mod(&exp, &m);
+    let work = ModExpWorkload::new(bits);
+    let expect = work.base.pow_mod(&work.exp, &work.m);
 
     let start = Instant::now();
     let configs = ModExpConfig::enumerate();
-    let estimates = pool.par_map(&configs, |_, config| {
-        let mut ops = models.modeled_ops(glue_cost);
-        let mut cache = ExpCache::new();
-        // Caching benefits repeat calls: run twice, cost the second.
-        let r1 = mod_exp(&mut ops, &base, &exp, &m, config, &mut cache)?;
-        debug_assert_eq!(r1, expect);
-        MpnOps::<u32>::reset(&mut ops);
-        let r2 = mod_exp(&mut ops, &base, &exp, &m, config, &mut cache)?;
-        assert_eq!(r2, expect, "config {config} computed a wrong result");
-        Ok(MpnOps::<u32>::cycles(&ops))
+    let mut shapes: Vec<ModExpConfig> = Vec::new();
+    for config in &configs {
+        if !shapes.contains(&config.modexp_shape()) {
+            shapes.push(config.modexp_shape());
+        }
+    }
+    let estimates = pool.par_map(&shapes, |_, shape| {
+        let (cycles, result) = model_candidate(models, glue_cost, &work, shape)?;
+        assert_eq!(result, expect, "config {shape} computed a wrong result");
+        Ok(cycles)
     });
 
     // Serial merge in enumeration order: metric observation order and
     // Pareto tie-breaking match the serial loop exactly.
     let mut ranked = Vec::with_capacity(configs.len());
-    for (config, estimate) in configs.into_iter().zip(estimates) {
-        let cycles = estimate?;
+    for config in configs {
+        let shape = config.modexp_shape();
+        let at = shapes.iter().position(|s| *s == shape);
+        let cycles = estimates[at.expect("every shape was evaluated")].clone()?;
         evaluated.inc();
         cycles_hist.observe(cycles);
         front.offer(config, cycles, config.table_bytes(bits));
@@ -2016,7 +2067,8 @@ fn explore_impl(
 }
 
 /// Evaluates a single candidate with macro-model metering on the same
-/// fixed workload as [`FlowCtx::explore`], returning estimated cycles.
+/// fixed workload, and by the same code, as [`FlowCtx::explore`],
+/// returning estimated cycles.
 ///
 /// # Errors
 ///
@@ -2027,19 +2079,8 @@ pub fn explore_single(
     bits: usize,
     glue_cost: f64,
 ) -> Result<f64, ModExpError> {
-    let mut rng = StdRng::seed_from_u64(0xE4B0);
-    let mut m = Natural::random_bits(&mut rng, bits);
-    if m.is_even() {
-        m = &m + &Natural::one();
-    }
-    let base = Natural::random_below(&mut rng, &m);
-    let exp = Natural::random_bits(&mut rng, bits);
-    let mut ops = models.modeled_ops(glue_cost);
-    let mut cache = ExpCache::new();
-    mod_exp(&mut ops, &base, &exp, &m, candidate, &mut cache)?;
-    MpnOps::<u32>::reset(&mut ops);
-    mod_exp(&mut ops, &base, &exp, &m, candidate, &mut cache)?;
-    Ok(MpnOps::<u32>::cycles(&ops))
+    let work = ModExpWorkload::new(bits);
+    Ok(model_candidate(models, glue_cost, &work, candidate)?.0)
 }
 
 /// One ISS co-simulation pass, optionally with a fault arm. Kernel-level
@@ -2055,13 +2096,7 @@ fn cosim_once(
     arm: Option<(PlanSpec, u64)>,
     policy: FaultPolicy,
 ) -> Result<Result<f64, ModExpError>, Error> {
-    let mut rng = StdRng::seed_from_u64(0xE4B0);
-    let mut m = Natural::random_bits(&mut rng, bits);
-    if m.is_even() {
-        m = &m + &Natural::one();
-    }
-    let base = Natural::random_below(&mut rng, &m);
-    let exp = Natural::random_bits(&mut rng, bits);
+    let ModExpWorkload { m, base, exp } = ModExpWorkload::new(bits);
 
     let mut iss = IssMpn::with_variant(config.clone(), variant);
     iss.set_verify(arm.is_some());

@@ -351,11 +351,28 @@ impl JobSpec {
                 spec.faults = Some(PlanSpec::parse(text).map_err(|e| bad(format!("faults: {e}")))?);
             }
         }
-        // Validate the resolvable ids eagerly so a bad spec fails at
-        // parse time, not mid-run.
-        spec.config()?;
-        spec.kernel_variant()?;
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Checks everything a spec can get wrong before any work starts:
+    /// the core id and variant tag resolve, and an `explore` job has a
+    /// non-zero operand width. [`JobSpec::from_json`] calls it so a bad
+    /// wire spec fails at parse time, and [`JobSpec::run`] calls it so
+    /// a spec built in code fails the same way instead of mid-run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::JobSpec`] naming the first invalid field.
+    fn validate(&self) -> Result<(), Error> {
+        self.config()?;
+        self.kernel_variant()?;
+        if self.kind == JobKind::Explore && self.bits == 0 {
+            return Err(Error::JobSpec {
+                detail: "explore needs bits >= 1".into(),
+            });
+        }
+        Ok(())
     }
 
     /// Parses a spec from JSON text.
@@ -406,6 +423,7 @@ impl JobSpec {
     /// (fault-free) failures, and the cancellation protocol error
     /// above.
     pub fn run(&self, env: &JobEnv<'_>) -> Result<RunReport, Error> {
+        self.validate()?;
         let t0 = Instant::now();
         let local_spans;
         let spans = match env.spans {
@@ -801,6 +819,23 @@ mod tests {
                 "{text}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn zero_bit_explore_is_rejected_at_parse() {
+        let err = JobSpec::parse(r#"{"kind":"explore","bits":0}"#).expect_err("rejected");
+        assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
+        // Only exploration reads the width; measurement kinds still parse.
+        JobSpec::parse(r#"{"kind":"measure","bits":0}"#).expect("parses");
+    }
+
+    #[test]
+    fn zero_bit_explore_is_rejected_before_running() {
+        let pool = Pool::new(1);
+        let err = JobSpec::explore(0, 2)
+            .run(&JobEnv::new(&pool))
+            .expect_err("rejected");
+        assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
     }
 
     #[test]

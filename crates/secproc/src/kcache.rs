@@ -525,12 +525,13 @@ mod tests {
     fn persist_does_not_block_concurrent_readers() {
         // The shard-aware persist guarantee: while one thread
         // repeatedly serializes the cache, reader threads on all shards
-        // keep being served. With a whole-cache mutex this test would
-        // still pass functionally but the shard assertion below pins
-        // the structural property: to_json holds at most one shard's
-        // read lock at a time, so a reader's own read lock can always
-        // be acquired concurrently.
-        use std::sync::atomic::{AtomicBool, Ordering as AO};
+        // keep being served: to_json holds at most one shard's read
+        // lock at a time, so a reader's own read lock can always be
+        // acquired concurrently. The test pins progress on both sides:
+        // the persister finishes documents, and readers complete whole
+        // rounds over every shard while it is running.
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering as AO};
+        use std::time::{Duration, Instant};
         let cache = KCache::new();
         let keys: Vec<String> = (0..256u64)
             .map(|s| key(0xC0FFEE, "base", kreg::opname::MUL_1, 16, s))
@@ -539,35 +540,47 @@ mod tests {
             cache.insert(k, vec![i as f64]);
         }
         let stop = AtomicBool::new(false);
+        let docs = AtomicU32::new(0);
         std::thread::scope(|scope| {
             let persister = scope.spawn(|| {
-                let mut docs = 0u32;
                 while !stop.load(AO::Relaxed) {
                     let json = cache.to_json();
                     assert!(json.get("entries").and_then(Json::as_arr).is_some());
-                    docs += 1;
+                    docs.fetch_add(1, AO::Relaxed);
                 }
-                docs
             });
-            let mut reader_hits = 0u64;
-            for round in 0..50 {
+            // Read at least 50 full rounds, and keep reading until one
+            // whole round has run while the persister was live (it had
+            // finished a document before the round began and runs until
+            // `stop`). The deadline only bounds a persister that never
+            // gets scheduled; the assertions below then fail.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let (mut rounds, mut concurrent_rounds, mut reader_hits) = (0u64, 0u64, 0u64);
+            while (rounds < 50 || concurrent_rounds == 0) && Instant::now() < deadline {
+                let persisting = docs.load(AO::Relaxed) >= 1;
                 for (i, k) in keys.iter().enumerate() {
                     let got = cache.get(k).expect("entry present");
                     assert_eq!(got[0], i as f64);
                     reader_hits += 1;
                 }
-                if round == 25 {
+                if rounds == 25 {
                     // Writers interleave with the persister too.
                     cache.insert(
                         &key(0xC0FFEE, "base", kreg::opname::MUL_1, 16, 999),
                         vec![1.0],
                     );
                 }
+                rounds += 1;
+                concurrent_rounds += u64::from(persisting);
             }
             stop.store(true, AO::Relaxed);
-            let docs = persister.join().unwrap();
-            assert!(docs >= 1, "persister made progress");
-            assert_eq!(reader_hits, 50 * 256);
+            persister.join().unwrap();
+            assert!(docs.load(AO::Relaxed) >= 1, "persister made progress");
+            assert!(
+                concurrent_rounds >= 1,
+                "readers were served while the persister ran"
+            );
+            assert_eq!(reader_hits, rounds * 256);
         });
     }
 

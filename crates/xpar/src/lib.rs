@@ -1,5 +1,4 @@
-//! Deterministic scoped worker pool and memoization for the
-//! methodology engine.
+//! Deterministic scoped worker pool for the methodology engine.
 //!
 //! The paper's exploration loop is embarrassingly parallel: 450
 //! modular-exponentiation candidates, 16 kernel characterizations, nine
@@ -23,10 +22,9 @@
 //! combinator degenerates to the plain serial loop — no threads are
 //! spawned at all.
 //!
-//! [`memo::Memo`] is the companion content-addressed cache: repeated
-//! deterministic computations (ISS kernel-cycle measurements, keyed by
-//! configuration fingerprint × op × size × seed × variant) are computed
-//! once and shared across workers.
+//! [`memo::checksum`] is the FNV-1a integrity fingerprint the
+//! persistent kernel-cycle cache (`secproc::kcache::KCache`) stores per
+//! entry, and a stable content hash for job digests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,8 +21,8 @@
 //!   four-phase co-design methodology.
 //! - [`xlint`]: dataflow static analysis and the constant-time
 //!   (secret-taint) checker for XR32 kernels.
-//! - [`xpar`]: the deterministic scoped worker pool and kernel-cycle
-//!   memo cache driving the parallel methodology engine.
+//! - [`xpar`]: the deterministic scoped worker pool driving the
+//!   parallel methodology engine.
 //!
 //! # Examples
 //!
