@@ -155,6 +155,29 @@ pub enum KernelVariant {
 }
 
 impl KernelVariant {
+    /// The `add<k>`/`sub<k>` lane counts the accelerated library is
+    /// defined for.
+    pub const ADD_LANES: [u32; 4] = [2, 4, 8, 16];
+    /// The `mac<k>`/`msub<k>` lane counts the accelerated library is
+    /// defined for.
+    pub const MAC_LANES: [u32; 3] = [1, 2, 4];
+
+    /// Every selectable variant: `Base`, then each accelerated lane
+    /// pair in ([`Self::ADD_LANES`], [`Self::MAC_LANES`]) order — 13 in
+    /// all.
+    pub fn all() -> impl Iterator<Item = KernelVariant> {
+        std::iter::once(KernelVariant::Base).chain(Self::ADD_LANES.into_iter().flat_map(
+            |add_lanes| {
+                Self::MAC_LANES
+                    .into_iter()
+                    .map(move |mac_lanes| KernelVariant::Accelerated {
+                        add_lanes,
+                        mac_lanes,
+                    })
+            },
+        ))
+    }
+
     /// A short stable tag naming this variant, used in kernel-cycle
     /// cache keys.
     pub fn tag(&self) -> String {
@@ -169,7 +192,8 @@ impl KernelVariant {
 
     /// Parses a tag produced by [`KernelVariant::tag`] back to the
     /// variant (`"base"`, `"accel-a<add>m<mac>"`); `None` for anything
-    /// else — including xopt-generated `gen-…` tags, which name
+    /// else — lane counts outside [`Self::ADD_LANES`] ×
+    /// [`Self::MAC_LANES`], and xopt-generated `gen-…` tags, which name
     /// synthesized libraries rather than selectable variants.
     pub fn parse_tag(tag: &str) -> Option<KernelVariant> {
         if tag == "base" {
@@ -177,10 +201,13 @@ impl KernelVariant {
         }
         let rest = tag.strip_prefix("accel-a")?;
         let (add, mac) = rest.split_once('m')?;
-        Some(KernelVariant::Accelerated {
-            add_lanes: add.parse().ok()?,
-            mac_lanes: mac.parse().ok()?,
-        })
+        let (add_lanes, mac_lanes) = (add.parse().ok()?, mac.parse().ok()?);
+        (Self::ADD_LANES.contains(&add_lanes) && Self::MAC_LANES.contains(&mac_lanes)).then_some(
+            KernelVariant::Accelerated {
+                add_lanes,
+                mac_lanes,
+            },
+        )
     }
 }
 
@@ -977,5 +1004,25 @@ mod tests {
         assert_eq!(KernelVariant::parse_tag("gen-a4m2"), None);
         assert_eq!(KernelVariant::parse_tag("accel-a4"), None);
         assert_eq!(KernelVariant::parse_tag("accel-axmy"), None);
+    }
+
+    #[test]
+    fn parse_tag_accepts_exactly_the_buildable_lane_counts() {
+        let all: Vec<KernelVariant> = KernelVariant::all().collect();
+        assert_eq!(all.len(), 13);
+        for v in &all {
+            assert_eq!(KernelVariant::parse_tag(&v.tag()).as_ref(), Some(v));
+        }
+        for tag in [
+            "accel-a3m1",
+            "accel-a0m1",
+            "accel-a32m2",
+            "accel-a2m0",
+            "accel-a2m3",
+            "accel-a16m8",
+            "accel-a-2m1",
+        ] {
+            assert_eq!(KernelVariant::parse_tag(tag), None, "{tag}");
+        }
     }
 }

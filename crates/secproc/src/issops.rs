@@ -22,6 +22,7 @@ use kreg::{id, CallConv, KernelError, KernelId};
 use mpint::limb::Limb;
 use pubkey::ops::{opname, MpnOps};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use xfault::{FaultPlan, PlanSpec};
 use xobs::trace::TraceSink;
 use xr32::asm::{assemble, Program};
@@ -65,12 +66,36 @@ const RP_ADDR: u32 = 0x1000;
 const AP_ADDR: u32 = 0x40000;
 const BP_ADDR: u32 = 0x80000;
 
+/// The bundled 32-bit library of `variant`, assembled on its first
+/// request in this process and shared from then on: one slot per
+/// [`KernelVariant::all`] entry.
+///
+/// # Panics
+///
+/// Panics on lane counts outside [`KernelVariant::all`].
+fn bundled32(variant: KernelVariant) -> Arc<Program> {
+    static MEMO: [OnceLock<Arc<Program>>; 13] = [const { OnceLock::new() }; 13];
+    let slot = KernelVariant::all()
+        .position(|v| v == variant)
+        .unwrap_or_else(|| panic!("no bundled kernel library for {variant:?}"));
+    Arc::clone(MEMO[slot].get_or_init(|| {
+        let src = match variant {
+            KernelVariant::Base => kmpn::base32_source(),
+            KernelVariant::Accelerated {
+                add_lanes,
+                mac_lanes,
+            } => kmpn::accel32_source(add_lanes, mac_lanes),
+        };
+        Arc::new(assemble(&src).expect("bundled 32-bit kernels must assemble"))
+    }))
+}
+
 /// ISS-backed [`MpnOps`] provider (32-bit and 16-bit radix sides).
 pub struct IssMpn {
     cpu32: Cpu,
-    prog32: Program,
+    prog32: Arc<Program>,
     cpu16: Cpu,
-    prog16: Program,
+    prog16: Arc<Program>,
     cycles: f64,
     counts: BTreeMap<&'static str, u64>,
     glue_cost: f64,
@@ -101,22 +126,29 @@ impl IssMpn {
 
     /// Builds a provider for an explicit kernel variant.
     ///
+    /// Nearly free after the first call per variant: the bundled 32-bit
+    /// library of each variant, and the bundled 16-bit library, are
+    /// assembled once per process and shared read-only (`Arc<Program>`)
+    /// by every provider; simulated memory is paged on first store.
+    /// The memo holds assembled code only — never a measured value —
+    /// and is bounded by the thirteen valid variants (base plus
+    /// {2,4,8,16} × {1,2,4} lanes).
+    ///
     /// # Panics
     ///
-    /// Panics if the bundled kernel sources fail to assemble (a build
-    /// defect, not a runtime condition).
+    /// Panics on lane counts outside that set (a caller defect; tags
+    /// that reach this from input are checked by
+    /// [`KernelVariant::parse_tag`]) or if a bundled kernel source fails
+    /// to assemble (a build defect).
     pub fn with_variant(config: CpuConfig, variant: KernelVariant) -> Self {
-        let (src32, ext): (String, ExtensionSet) = match variant {
-            KernelVariant::Base => (kmpn::base32_source(), ExtensionSet::new()),
+        let ext = match variant {
+            KernelVariant::Base => ExtensionSet::new(),
             KernelVariant::Accelerated {
                 add_lanes,
                 mac_lanes,
-            } => (
-                kmpn::accel32_source(add_lanes, mac_lanes),
-                insns::mpn_extension_set(add_lanes, mac_lanes),
-            ),
+            } => insns::mpn_extension_set(add_lanes, mac_lanes),
         };
-        Self::with_library(config, &src32, ext)
+        Self::with_program(config, bundled32(variant), ext)
     }
 
     /// Builds a provider running an arbitrary 32-bit kernel library —
@@ -124,7 +156,7 @@ impl IssMpn {
     /// radix side always runs the bundled base library. Kernels absent
     /// from `src32` simply fail at call time with an undefined-label
     /// error, so a single-kernel library is fine for single-kernel
-    /// measurements.
+    /// measurements. `src32` is assembled on every call.
     ///
     /// # Panics
     ///
@@ -133,8 +165,16 @@ impl IssMpn {
     /// sources.
     pub fn with_library(config: CpuConfig, src32: &str, ext: ExtensionSet) -> Self {
         let prog32 = assemble(src32).expect("32-bit kernel library must assemble");
-        let prog16 =
-            assemble(&kmpn::base16_source()).expect("bundled 16-bit kernels must assemble");
+        Self::with_program(config, Arc::new(prog32), ext)
+    }
+
+    fn with_program(config: CpuConfig, prog32: Arc<Program>, ext: ExtensionSet) -> Self {
+        static PROG16: OnceLock<Arc<Program>> = OnceLock::new();
+        let prog16 = PROG16.get_or_init(|| {
+            Arc::new(
+                assemble(&kmpn::base16_source()).expect("bundled 16-bit kernels must assemble"),
+            )
+        });
         let mut cpu32 = Cpu::with_extensions(config.clone(), ext);
         cpu32.set_fuel(u64::MAX);
         let mut cpu16 = Cpu::new(config);
@@ -143,7 +183,7 @@ impl IssMpn {
             cpu32,
             prog32,
             cpu16,
-            prog16,
+            prog16: Arc::clone(prog16),
             cycles: 0.0,
             counts: BTreeMap::new(),
             glue_cost: 4.0,

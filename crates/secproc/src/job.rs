@@ -839,6 +839,28 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_lane_counts_are_rejected_at_parse() {
+        for variant in ["accel-a3m1", "accel-a2m3", "accel-a32m4"] {
+            let text = format!(r#"{{"kind":"measure","variant":"{variant}"}}"#);
+            let err = JobSpec::parse(&text).expect_err(&text);
+            assert_eq!(err.code(), codes::JOB_SPEC, "{text}: {err}");
+        }
+        JobSpec::parse(r#"{"kind":"measure","variant":"accel-a16m4"}"#).expect("parses");
+    }
+
+    #[test]
+    fn unbuildable_lane_counts_are_rejected_before_running() {
+        // Built in code, the spec skips parse; `run` must still refuse
+        // it with a typed error instead of panicking in
+        // `accel32_source`.
+        let mut spec = JobSpec::new(JobKind::Measure);
+        spec.variant = "accel-a3m1".into();
+        let pool = Pool::new(1);
+        let err = spec.run(&JobEnv::new(&pool)).expect_err("rejected");
+        assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
+    }
+
+    #[test]
     fn fault_campaign_requires_a_plan() {
         let spec = JobSpec::new(JobKind::FaultCampaign);
         let pool = Pool::new(1);

@@ -182,7 +182,7 @@ impl Liveness {
             if writes_c {
                 inn.remove_carry();
             }
-            for s in insns[pc].sources() {
+            for &s in insns[pc].sources().iter() {
                 inn.insert(s);
             }
             if reads_c {

@@ -173,7 +173,7 @@ impl UnitIr {
                     if !e.reachable[pc] {
                         continue;
                     }
-                    let mut srcs = insn.sources();
+                    let mut srcs = insn.sources().to_vec();
                     srcs.sort_unstable();
                     srcs.dedup();
                     for r in srcs {

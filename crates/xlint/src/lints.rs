@@ -111,7 +111,7 @@ pub(crate) fn check_read_before_write(
             continue;
         }
         let defined = md.defined_at(pc);
-        for src in insn.sources() {
+        for &src in insn.sources().iter() {
             if !defined.contains(src) {
                 emit(
                     report,

@@ -28,7 +28,7 @@ fn free_reg(unit: &Unit) -> Result<Reg, OptError> {
     used[Reg::RA.index()] = true;
     for item in &unit.items {
         if let Item::Op { insn, .. } = item {
-            for r in insn.sources() {
+            for &r in insn.sources().iter() {
                 used[r.index()] = true;
             }
             if let Some(d) = insn.dest() {

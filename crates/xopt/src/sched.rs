@@ -45,7 +45,7 @@ struct Effects {
 }
 
 fn effects(insn: &Insn, spec: &SecretSpec) -> Effects {
-    let mut reads: Vec<Rsrc> = insn.sources().into_iter().map(Rsrc::R).collect();
+    let mut reads: Vec<Rsrc> = insn.sources().iter().map(|&r| Rsrc::R(r)).collect();
     let mut writes: Vec<Rsrc> = xlint::dataflow::insn_dests(insn, spec)
         .into_iter()
         .map(Rsrc::R)

@@ -203,6 +203,54 @@ pub enum Insn {
     Custom(CustomOp),
 }
 
+/// The general registers an instruction reads, as returned by
+/// [`Insn::sources`]: up to two held inline, or a custom instruction's
+/// borrowed operand list. Derefs to `&[Reg]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Sources<'a> {
+    inline: [Reg; 2],
+    len: u8,
+    custom: Option<&'a [Reg]>,
+}
+
+impl<'a> Sources<'a> {
+    const NONE: Sources<'static> = Sources::inline([Reg(0); 2], 0);
+
+    const fn inline(inline: [Reg; 2], len: u8) -> Self {
+        Sources {
+            inline,
+            len,
+            custom: None,
+        }
+    }
+
+    fn one(a: Reg) -> Self {
+        Sources::inline([a, a], 1)
+    }
+
+    fn two(a: Reg, b: Reg) -> Self {
+        Sources::inline([a, b], 2)
+    }
+
+    fn custom(regs: &'a [Reg]) -> Self {
+        Sources {
+            custom: Some(regs),
+            ..Sources::NONE
+        }
+    }
+}
+
+impl core::ops::Deref for Sources<'_> {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        match self.custom {
+            Some(regs) => regs,
+            None => &self.inline[..self.len as usize],
+        }
+    }
+}
+
 impl fmt::Display for Insn {
     /// Canonical assembly rendering, for diagnostics and IR dumps.
     /// Control-transfer targets are printed as `@<index>` (instruction
@@ -285,9 +333,14 @@ impl fmt::Display for Insn {
 
 impl Insn {
     /// General registers read by this instruction (for the load-use
-    /// interlock model). Custom instructions conservatively read all
-    /// their register operands.
-    pub fn sources(&self) -> Vec<Reg> {
+    /// interlock model and the static analyses). Custom instructions
+    /// conservatively read all their register operands.
+    ///
+    /// Allocation-free — the cycle-accurate cores call this once per
+    /// executed instruction: fixed forms return their (at most two)
+    /// sources inline, [`Insn::Custom`] borrows its operand list. The
+    /// result derefs to `&[Reg]`.
+    pub fn sources(&self) -> Sources<'_> {
         use Insn::*;
         match self {
             Add(_, a, b)
@@ -303,7 +356,7 @@ impl Insn {
             | Sltu(_, a, b)
             | Slt(_, a, b)
             | Mul(_, a, b)
-            | Mulhu(_, a, b) => vec![*a, *b],
+            | Mulhu(_, a, b) => Sources::two(*a, *b),
             Addi(_, a, _)
             | Andi(_, a, _)
             | Ori(_, a, _)
@@ -311,20 +364,20 @@ impl Insn {
             | Slli(_, a, _)
             | Srli(_, a, _)
             | Srai(_, a, _)
-            | Mov(_, a) => vec![*a],
-            Movi(..) => vec![],
-            Lw(_, base, _) | Lbu(_, base, _) | Lhu(_, base, _) => vec![*base],
-            Sw(v, base, _) | Sb(v, base, _) | Sh(v, base, _) => vec![*v, *base],
+            | Mov(_, a) => Sources::one(*a),
+            Movi(..) => Sources::NONE,
+            Lw(_, base, _) | Lbu(_, base, _) | Lhu(_, base, _) => Sources::one(*base),
+            Sw(v, base, _) | Sb(v, base, _) | Sh(v, base, _) => Sources::two(*v, *base),
             Beq(a, b, _)
             | Bne(a, b, _)
             | Bltu(a, b, _)
             | Bgeu(a, b, _)
             | Blt(a, b, _)
-            | Bge(a, b, _) => vec![*a, *b],
-            J(_) | Call(_) | Clc | Nop | Halt => vec![],
-            Ret => vec![Reg::RA],
-            Jr(r) => vec![*r],
-            Custom(op) => op.regs.clone(),
+            | Bge(a, b, _) => Sources::two(*a, *b),
+            J(_) | Call(_) | Clc | Nop | Halt => Sources::NONE,
+            Ret => Sources::one(Reg::RA),
+            Jr(r) => Sources::one(*r),
+            Custom(op) => Sources::custom(&op.regs),
         }
     }
 
@@ -462,21 +515,21 @@ mod tests {
     #[test]
     fn sources_and_dest_for_alu() {
         let i = Insn::Add(Reg::new(1), Reg::new(2), Reg::new(3));
-        assert_eq!(i.sources(), vec![Reg::new(2), Reg::new(3)]);
+        assert_eq!(*i.sources(), [Reg::new(2), Reg::new(3)]);
         assert_eq!(i.dest(), Some(Reg::new(1)));
     }
 
     #[test]
     fn sources_for_store_include_value_and_base() {
         let i = Insn::Sw(Reg::new(5), Reg::new(6), 8);
-        assert_eq!(i.sources(), vec![Reg::new(5), Reg::new(6)]);
+        assert_eq!(*i.sources(), [Reg::new(5), Reg::new(6)]);
         assert_eq!(i.dest(), None);
     }
 
     #[test]
     fn call_writes_ra_ret_reads_ra() {
         assert_eq!(Insn::Call(0).dest(), Some(Reg::RA));
-        assert_eq!(Insn::Ret.sources(), vec![Reg::RA]);
+        assert_eq!(*Insn::Ret.sources(), [Reg::RA]);
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub use asm::{assemble, AssembleError, Program};
 pub use config::{CacheConfig, CpuConfig};
 pub use cpu::{Cpu, RunSummary, SimError};
 pub use ext::{CustomInsnDef, ExtensionSet};
-pub use isa::{Insn, Reg};
+pub use isa::{Insn, Reg, Sources};
 pub use xcore::{CoreKind, CoreModel, CoreSpec, OooParams};
 pub use xjit::Fidelity;

@@ -33,7 +33,48 @@ impl fmt::Display for AccessError {
 
 impl std::error::Error for AccessError {}
 
-/// Flat little-endian memory for the simulator.
+/// log2 of the page size.
+const PAGE_BITS: u32 = 12;
+/// Bytes per page.
+const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// Offset-within-page mask.
+const PAGE_MASK: usize = PAGE_SIZE - 1;
+/// FNV prime of [`Memory::digest`].
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME` to the power `n` (mod 2^64), by repeated squaring.
+fn fnv_prime_pow(mut n: usize) -> u64 {
+    let (mut p, mut base) = (1u64, FNV_PRIME);
+    while n > 0 {
+        if n & 1 == 1 {
+            p = p.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        n >>= 1;
+    }
+    p
+}
+
+type Page = [u8; PAGE_SIZE];
+
+/// A fresh zeroed page, built out of line so the page-sized temporary
+/// never lands in the frame of a function the accessors inline into.
+#[cold]
+#[inline(never)]
+fn zeroed_page() -> Box<Page> {
+    Box::new([0; PAGE_SIZE])
+}
+
+/// Little-endian memory for the simulator, allocated one 4 KiB page at
+/// a time on first store.
+///
+/// The address space is `0..size()` and behaves exactly like a flat
+/// zeroed byte array of that size: an untouched page reads as zero,
+/// every access is range- and alignment-checked against `size()`, and
+/// [`Memory::digest`] absorbs the same bytes a flat array would. A core
+/// whose kernels touch a few kilobytes therefore costs a few kilobytes,
+/// not the configured megabyte. Aligned 1/2/4-byte accesses never cross
+/// a page.
 ///
 /// # Examples
 ///
@@ -44,24 +85,29 @@ impl std::error::Error for AccessError {}
 /// m.store_u32(0x10, 0xdeadbeef)?;
 /// assert_eq!(m.load_u32(0x10)?, 0xdeadbeef);
 /// assert_eq!(m.load_u8(0x10)?, 0xef); // little endian
+/// assert_eq!(m.load_u32(0x20)?, 0); // untouched memory reads as zero
 /// # Ok::<(), xr32::mem::AccessError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Memory {
-    bytes: Vec<u8>,
+    size: usize,
+    /// `None` until the page's first store.
+    pages: Vec<Option<Box<Page>>>,
 }
 
 impl Memory {
-    /// Allocates `size` bytes of zeroed memory.
+    /// Creates `size` bytes of zeroed memory. No page is allocated
+    /// until it is first stored to.
     pub fn new(size: usize) -> Self {
         Memory {
-            bytes: vec![0; size],
+            size,
+            pages: vec![None; size.div_ceil(PAGE_SIZE)],
         }
     }
 
     /// Memory size in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size
     }
 
     fn check(&self, addr: u32, width: u8) -> Result<usize, AccessError> {
@@ -73,7 +119,7 @@ impl Memory {
                 misaligned: true,
             });
         }
-        if a + width as usize > self.bytes.len() {
+        if a + width as usize > self.size {
             return Err(AccessError {
                 addr,
                 width,
@@ -83,14 +129,49 @@ impl Memory {
         Ok(a)
     }
 
+    /// The page holding `a`, if it has been stored to.
+    fn page(&self, a: usize) -> Option<&Page> {
+        self.pages[a >> PAGE_BITS].as_deref()
+    }
+
+    /// The page holding `a`, allocated (zeroed) on first use.
+    fn page_mut(&mut self, a: usize) -> &mut Page {
+        self.pages[a >> PAGE_BITS].get_or_insert_with(zeroed_page)
+    }
+
+    /// Offset of the `N`-aligned address `a` within its page. Masking
+    /// off the alignment bits too (a no-op on a checked address) lets
+    /// the compiler see that `N` bytes from it fit in the page.
+    fn offset<const N: usize>(a: usize) -> usize {
+        a & PAGE_MASK & !(N - 1)
+    }
+
+    /// Loads `N` bytes at a checked, `N`-aligned address.
+    fn load<const N: usize>(&self, a: usize) -> [u8; N] {
+        match self.page(a) {
+            Some(p) => {
+                let o = Self::offset::<N>(a);
+                p[o..o + N].try_into().expect("width checked")
+            }
+            None => [0; N],
+        }
+    }
+
+    /// Stores `N` bytes at a checked, `N`-aligned address.
+    fn store<const N: usize>(&mut self, a: usize, v: [u8; N]) {
+        let o = Self::offset::<N>(a);
+        self.page_mut(a)[o..o + N].copy_from_slice(&v);
+    }
+
     /// Loads a byte.
     ///
     /// # Errors
     ///
     /// Returns [`AccessError`] when the address is out of range.
+    #[inline]
     pub fn load_u8(&self, addr: u32) -> Result<u8, AccessError> {
         let a = self.check(addr, 1)?;
-        Ok(self.bytes[a])
+        Ok(self.load::<1>(a)[0])
     }
 
     /// Stores a byte.
@@ -98,9 +179,10 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`AccessError`] when the address is out of range.
+    #[inline]
     pub fn store_u8(&mut self, addr: u32, v: u8) -> Result<(), AccessError> {
         let a = self.check(addr, 1)?;
-        self.bytes[a] = v;
+        self.store(a, [v]);
         Ok(())
     }
 
@@ -109,9 +191,10 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`AccessError`] on misalignment or out-of-range.
+    #[inline]
     pub fn load_u16(&self, addr: u32) -> Result<u16, AccessError> {
         let a = self.check(addr, 2)?;
-        Ok(u16::from_le_bytes([self.bytes[a], self.bytes[a + 1]]))
+        Ok(u16::from_le_bytes(self.load(a)))
     }
 
     /// Stores a halfword (16-bit aligned).
@@ -119,9 +202,10 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`AccessError`] on misalignment or out-of-range.
+    #[inline]
     pub fn store_u16(&mut self, addr: u32, v: u16) -> Result<(), AccessError> {
         let a = self.check(addr, 2)?;
-        self.bytes[a..a + 2].copy_from_slice(&v.to_le_bytes());
+        self.store(a, v.to_le_bytes());
         Ok(())
     }
 
@@ -130,11 +214,10 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`AccessError`] on misalignment or out-of-range.
+    #[inline]
     pub fn load_u32(&self, addr: u32) -> Result<u32, AccessError> {
         let a = self.check(addr, 4)?;
-        Ok(u32::from_le_bytes(
-            self.bytes[a..a + 4].try_into().expect("width checked"),
-        ))
+        Ok(u32::from_le_bytes(self.load(a)))
     }
 
     /// Stores a word (32-bit aligned).
@@ -142,10 +225,24 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`AccessError`] on misalignment or out-of-range.
+    #[inline]
     pub fn store_u32(&mut self, addr: u32, v: u32) -> Result<(), AccessError> {
         let a = self.check(addr, 4)?;
-        self.bytes[a..a + 4].copy_from_slice(&v.to_le_bytes());
+        self.store(a, v.to_le_bytes());
         Ok(())
+    }
+
+    /// Checks that `len` bytes from `addr` lie inside memory.
+    fn check_region(&self, addr: u32, len: usize) -> Result<usize, AccessError> {
+        let a = addr as usize;
+        if a + len > self.size {
+            return Err(AccessError {
+                addr,
+                width: 1,
+                misaligned: false,
+            });
+        }
+        Ok(a)
     }
 
     /// Copies a byte slice into memory at `addr`.
@@ -153,16 +250,15 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`AccessError`] if the region exceeds memory.
-    pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), AccessError> {
-        let a = addr as usize;
-        if a + data.len() > self.bytes.len() {
-            return Err(AccessError {
-                addr,
-                width: 1,
-                misaligned: false,
-            });
+    pub fn write_bytes(&mut self, addr: u32, mut data: &[u8]) -> Result<(), AccessError> {
+        let mut a = self.check_region(addr, data.len())?;
+        while !data.is_empty() {
+            let o = a & PAGE_MASK;
+            let n = data.len().min(PAGE_SIZE - o);
+            self.page_mut(a)[o..o + n].copy_from_slice(&data[..n]);
+            a += n;
+            data = &data[n..];
         }
-        self.bytes[a..a + data.len()].copy_from_slice(data);
         Ok(())
     }
 
@@ -172,33 +268,46 @@ impl Memory {
     ///
     /// Returns [`AccessError`] if the region exceeds memory.
     pub fn read_bytes(&self, addr: u32, len: usize) -> Result<Vec<u8>, AccessError> {
-        let a = addr as usize;
-        if a + len > self.bytes.len() {
-            return Err(AccessError {
-                addr,
-                width: 1,
-                misaligned: false,
-            });
+        let mut a = self.check_region(addr, len)?;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let o = a & PAGE_MASK;
+            let n = (len - out.len()).min(PAGE_SIZE - o);
+            match self.page(a) {
+                Some(p) => out.extend_from_slice(&p[o..o + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            a += n;
         }
-        Ok(self.bytes[a..a + len].to_vec())
+        Ok(out)
     }
 
     /// 64-bit FNV-1a-style digest over the full memory contents. Used
     /// by the dual-fidelity co-simulation checks to compare
     /// whole-memory architectural state without copying it out.
     /// Absorbs eight little-endian bytes per round (not the byte-wise
-    /// reference FNV) so digesting a megabyte core stays cheap enough
-    /// to sample after every sweep.
+    /// reference FNV), then the `size() % 8` trailing bytes one per
+    /// round, so digesting a megabyte core stays cheap enough to sample
+    /// after every sweep. An untouched page costs a few multiplications.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut chunks = self.bytes.chunks_exact(8);
-        for c in &mut chunks {
-            h ^= u64::from_le_bytes(c.try_into().expect("width checked"));
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        for &b in chunks.remainder() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+        for (i, page) in self.pages.iter().enumerate() {
+            let len = (self.size - (i << PAGE_BITS)).min(PAGE_SIZE);
+            let Some(page) = page else {
+                // Absorbing zero leaves `h` unchanged, so each round of
+                // an untouched page is one multiplication by the prime.
+                h = h.wrapping_mul(fnv_prime_pow(len / 8 + len % 8));
+                continue;
+            };
+            let mut chunks = page[..len].chunks_exact(8);
+            for c in &mut chunks {
+                h ^= u64::from_le_bytes(c.try_into().expect("width checked"));
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+            for &b in chunks.remainder() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
         }
         h
     }

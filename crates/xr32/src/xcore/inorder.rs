@@ -99,7 +99,7 @@ impl CoreModel for InOrderCore {
 
             // Source-operand interlock: stall until inputs are ready.
             let before_stall = *env.cycles;
-            for src in insn.sources() {
+            for src in insn.sources().iter() {
                 let ready = env.reg_ready[src.index()];
                 if ready > *env.cycles {
                     *env.cycles = ready;

@@ -261,7 +261,7 @@ impl CoreModel for OooCore {
             // Wake-up: renamed operands wait only on true (RAW)
             // dependences — the completion time of the latest writer.
             let mut ready = disp;
-            for src in insn.sources() {
+            for src in insn.sources().iter() {
                 ready = ready.max(env.reg_ready[src.index()]);
             }
             let is_mem = insn.is_load() || insn.is_store();

@@ -1,7 +1,7 @@
 //! CI smoke gate for the serving layer (run by `scripts/ci.sh`).
 //!
 //! Boots an in-process daemon (one executor, in-memory cache) and
-//! checks the three service invariants:
+//! checks the four service invariants:
 //!
 //! 1. **Byte-identity** — a job run through the daemon and the same
 //!    [`JobSpec`] run directly in-process produce identical normalized
@@ -12,6 +12,10 @@
 //! 3. **Query coherence** — concurrent clients hammering the cached
 //!    kernel-cycle query path all observe the same cycle count per
 //!    key, and the daemon serves ≥ 1000 of them.
+//! 4. **Bad specs are typed, not fatal** — specs that would panic a job
+//!    (an unbuildable lane count, a zero-bit exploration) are refused
+//!    at submit with `5002 JOB_SPEC`, and the single executor still
+//!    answers a valid job submitted after them.
 //!
 //! Exits 0 and prints `xserve-gate: PASS` on success; exits 1 with a
 //! diagnostic on the first violated invariant.
@@ -38,13 +42,12 @@ fn charact_spec() -> JobSpec {
     spec
 }
 
-/// A measurement spec heavy enough to hold the single executor busy
-/// while the cancellation races in behind it.
+/// A spec heavy enough to hold the single executor busy while the
+/// cancellation races in behind it: a 128-bit exploration ranks all
+/// 450 candidates (about 100 ms), where a whole-registry measurement
+/// now finishes in well under a millisecond.
 fn blocker_spec() -> JobSpec {
-    let mut spec = JobSpec::new(JobKind::Measure);
-    spec.kernels = kreg::id::MPN.to_vec();
-    spec.limbs = 8;
-    spec
+    JobSpec::explore(128, 1)
 }
 
 fn main() {
@@ -131,6 +134,28 @@ fn main() {
         }
     }
     println!("xserve-gate: 8 clients agree on all cached query points");
+
+    // 4. Bad specs: each is refused on the wire with 5002, and the one
+    // executor survives to answer the next valid job.
+    let mut bad_lanes = JobSpec::new(JobKind::Measure);
+    bad_lanes.variant = "accel-a3m1".into();
+    for (what, bad) in [
+        ("lanes accel-a3m1", bad_lanes),
+        ("explore bits 0", JobSpec::explore(0, 2)),
+    ] {
+        match client.submit(&bad, 0, None) {
+            Err(e) if e.code() == codes::JOB_SPEC => {}
+            Err(e) => fail(&format!("{what}: refused with {}, want 5002", e.code())),
+            Ok((id, _)) => fail(&format!("{what}: accepted as job {id}, want 5002")),
+        }
+    }
+    let mut after = JobSpec::new(JobKind::Measure);
+    after.kernels = vec![kreg::id::ADD_N];
+    after.limbs = 4;
+    client
+        .run_job(&after, 0)
+        .unwrap_or_else(|e| fail(&format!("job after bad specs: {e}")));
+    println!("xserve-gate: bad specs refused with 5002; executor still answers");
 
     let stats = client
         .stats()
