@@ -60,6 +60,36 @@ impl KernelId {
             .map(|d| d.id)
             .ok_or_else(|| KernelError::Unknown(name.to_owned()))
     }
+
+    /// This kernel's position in [`id::MPN`], or `None` when it is not
+    /// a multi-precision basic op. A `const fn`, so a constant id
+    /// resolves at compile time and indexed per-op tables pay no name
+    /// comparison at run time.
+    pub const fn mpn_index(self) -> Option<usize> {
+        let mut i = 0;
+        while i < id::MPN.len() {
+            if const_str_eq(id::MPN[i].0, self.0) {
+                return Some(i);
+            }
+            i += 1;
+        }
+        None
+    }
+}
+
+const fn const_str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 impl std::str::FromStr for KernelId {
@@ -983,6 +1013,14 @@ mod tests {
         }
         let e = KernelId::parse("mpn_frobnicate").unwrap_err();
         assert!(matches!(e, KernelError::Unknown(name) if name == "mpn_frobnicate"));
+    }
+
+    #[test]
+    fn mpn_index_is_the_position_in_mpn() {
+        for (i, k) in id::MPN.into_iter().enumerate() {
+            assert_eq!(k.mpn_index(), Some(i), "{k}");
+        }
+        assert_eq!(id::SHA1.mpn_index(), None);
     }
 
     #[test]

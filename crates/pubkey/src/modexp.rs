@@ -372,7 +372,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{ModeledMpn, NativeMpn};
+    use crate::ops::{ModeledMpn, NativeMpn, OpCounts};
     use crate::space::{CrtMode, ModExpConfig};
     use mpint::gcd;
     use std::collections::BTreeSet;
@@ -425,7 +425,7 @@ mod tests {
     fn two_pass_costs(
         cfg: &ModExpConfig,
         (m, b, e): &(Natural, Natural, Natural),
-    ) -> Vec<(u64, BTreeMap<&'static str, u64>)> {
+    ) -> Vec<(u64, OpCounts)> {
         let mut ops = sloped_ops();
         let mut cache = ExpCache::new();
         (0..2)
@@ -434,7 +434,7 @@ mod tests {
                 mod_exp(&mut ops, b, e, m, cfg, &mut cache).unwrap();
                 (
                     MpnOps::<u32>::cycles(&ops).to_bits(),
-                    MpnOps::<u32>::call_counts(&ops).clone(),
+                    *MpnOps::<u32>::call_counts(&ops),
                 )
             })
             .collect()
@@ -547,7 +547,7 @@ mod tests {
             cfg.mul = MulAlgo::Montgomery;
             cfg.window = w;
             mod_exp(&mut ops, &b, &e, &m, &cfg, &mut cache).unwrap();
-            counts.push(MpnOps::<u32>::call_counts(&ops)[crate::ops::opname::ADDMUL_1]);
+            counts.push(MpnOps::<u32>::call_counts(&ops)[kreg::id::ADDMUL_1]);
         }
         assert!(
             counts[1] < counts[0],

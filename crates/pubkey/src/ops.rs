@@ -14,16 +14,84 @@
 //! - an ISS-backed implementation (in the `secproc` crate): every call
 //!   runs the XR32 assembly kernel on the cycle-accurate simulator —
 //!   the paper's slow reference.
+//!
+//! Every provider meters an op by its position in [`kreg::id::MPN`]
+//! (its [`slot`]), never by name: a metered call bumps one array cell
+//! of [`OpCounts`] and, for [`ModeledMpn`], reads one cell of a
+//! [`ModelTable`].
 
+use kreg::{id, KernelId};
 use macromodel::model::MacroModel;
 use mpint::limb::Limb;
 use mpint::mpn;
 use std::collections::BTreeMap;
+use std::ops::Index;
+use std::sync::Arc;
 
 /// Canonical names of the metered basic operations (used as macro-model
 /// registry keys and kernel names). These are the kernel-registry names:
 /// the typed ids live in [`kreg::id`].
 pub use kreg::opname;
+
+/// The [`OpCounts`] / [`ModelTable`] slot of each basic op: its
+/// position in [`kreg::id::MPN`], resolved at compile time.
+pub mod slot {
+    use kreg::{id, KernelId};
+
+    const fn of(op: KernelId) -> usize {
+        match op.mpn_index() {
+            Some(i) => i,
+            None => panic!("not a basic op"),
+        }
+    }
+
+    /// `mpn_add_n`
+    pub const ADD_N: usize = of(id::ADD_N);
+    /// `mpn_sub_n`
+    pub const SUB_N: usize = of(id::SUB_N);
+    /// `mpn_mul_1`
+    pub const MUL_1: usize = of(id::MUL_1);
+    /// `mpn_addmul_1`
+    pub const ADDMUL_1: usize = of(id::ADDMUL_1);
+    /// `mpn_submul_1`
+    pub const SUBMUL_1: usize = of(id::SUBMUL_1);
+    /// `mpn_lshift`
+    pub const LSHIFT: usize = of(id::LSHIFT);
+    /// `mpn_rshift`
+    pub const RSHIFT: usize = of(id::RSHIFT);
+    /// `div_qhat`
+    pub const DIV_QHAT: usize = of(id::DIV_QHAT);
+}
+
+/// Calls recorded per basic op, one cell per op in [`kreg::id::MPN`]
+/// order. Index it by [`KernelId`]: `counts[id::ADDMUL_1]`. An op that
+/// was never called reads 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpCounts([u64; 8]);
+
+impl OpCounts {
+    /// Counts one call of the op in `slot` (see [`mod@slot`]).
+    pub fn bump(&mut self, slot: usize) {
+        self.0[slot] += 1;
+    }
+
+    /// Zeroes every count.
+    pub fn clear(&mut self) {
+        *self = OpCounts::default();
+    }
+}
+
+impl Index<KernelId> for OpCounts {
+    type Output = u64;
+
+    /// # Panics
+    ///
+    /// Panics when `op` is not a basic op (not in [`kreg::id::MPN`]).
+    fn index(&self, op: KernelId) -> &u64 {
+        let slot = op.mpn_index();
+        &self.0[slot.unwrap_or_else(|| panic!("{op} is not a basic op"))]
+    }
+}
 
 /// The basic-operations provider: computes limb-level results and
 /// accounts their cost.
@@ -53,8 +121,9 @@ pub trait MpnOps<L: Limb> {
     fn cycles(&self) -> f64;
     /// Resets the cycle and call counters.
     fn reset(&mut self);
-    /// Calls recorded per op name.
-    fn call_counts(&self) -> &BTreeMap<&'static str, u64>;
+    /// Calls recorded per basic op since the last [`MpnOps::reset`],
+    /// for both limb widths together.
+    fn call_counts(&self) -> &OpCounts;
 }
 
 /// Reference implementation of the 3-by-2 quotient estimate shared by
@@ -65,7 +134,7 @@ pub use mpint::mpn::div_qhat_reference;
 /// Pure computation with call counting (zero cycle cost).
 #[derive(Debug, Clone, Default)]
 pub struct NativeMpn {
-    counts: BTreeMap<&'static str, u64>,
+    counts: OpCounts,
 }
 
 impl NativeMpn {
@@ -75,50 +144,44 @@ impl NativeMpn {
     }
 }
 
-macro_rules! bump {
-    ($self:ident, $name:expr) => {
-        *$self.counts.entry($name).or_insert(0) += 1;
-    };
-}
-
 impl<L: Limb> MpnOps<L> for NativeMpn {
     fn add_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        bump!(self, opname::ADD_N);
+        self.counts.bump(slot::ADD_N);
         mpn::add_n(r, a, b)
     }
 
     fn sub_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        bump!(self, opname::SUB_N);
+        self.counts.bump(slot::SUB_N);
         mpn::sub_n(r, a, b)
     }
 
     fn mul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        bump!(self, opname::MUL_1);
+        self.counts.bump(slot::MUL_1);
         mpn::mul_1(r, a, b)
     }
 
     fn addmul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        bump!(self, opname::ADDMUL_1);
+        self.counts.bump(slot::ADDMUL_1);
         mpn::addmul_1(r, a, b)
     }
 
     fn submul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        bump!(self, opname::SUBMUL_1);
+        self.counts.bump(slot::SUBMUL_1);
         mpn::submul_1(r, a, b)
     }
 
     fn lshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        bump!(self, opname::LSHIFT);
+        self.counts.bump(slot::LSHIFT);
         mpn::lshift(r, a, cnt)
     }
 
     fn rshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        bump!(self, opname::RSHIFT);
+        self.counts.bump(slot::RSHIFT);
         mpn::rshift(r, a, cnt)
     }
 
     fn div_qhat(&mut self, n2: L, n1: L, n0: L, d1: L, d0: L) -> L {
-        bump!(self, opname::DIV_QHAT);
+        self.counts.bump(slot::DIV_QHAT);
         div_qhat_reference(n2, n1, n0, d1, d0)
     }
 
@@ -132,8 +195,30 @@ impl<L: Limb> MpnOps<L> for NativeMpn {
         self.counts.clear();
     }
 
-    fn call_counts(&self) -> &BTreeMap<&'static str, u64> {
+    fn call_counts(&self) -> &OpCounts {
         &self.counts
+    }
+}
+
+/// Per-op macro-models indexed by limb width and [`mod@slot`]: row 0
+/// serves 32-bit limbs, row 1 16-bit limbs. `None` marks an op with
+/// no model. Built once from name-keyed registries and shared (through
+/// an [`Arc`]) by every provider that meters with it.
+#[derive(Debug, Clone)]
+pub struct ModelTable([[Option<MacroModel>; 8]; 2]);
+
+impl ModelTable {
+    /// Indexes per-op registries (keyed by [`opname`] constants) for
+    /// 32-bit and 16-bit limbs. Keys that are not basic ops are
+    /// ignored.
+    pub fn new(
+        models32: &BTreeMap<&'static str, MacroModel>,
+        models16: &BTreeMap<&'static str, MacroModel>,
+    ) -> Self {
+        let row = |models: &BTreeMap<&'static str, MacroModel>| {
+            id::MPN.map(|op| models.get(op.name()).cloned())
+        };
+        ModelTable([row(models32), row(models16)])
     }
 }
 
@@ -141,15 +226,22 @@ impl<L: Limb> MpnOps<L> for NativeMpn {
 /// native-execution performance estimation.
 ///
 /// Each basic op's cycles come from a fitted [`MacroModel`] evaluated at
-/// the operand length (in limbs); `div_qhat` and `glue` use constant
-/// models.
+/// the operand length (in limbs); `div_qhat` is charged at length 1 and
+/// `glue` at a constant per-unit cost.
+///
+/// A metered call indexes a shared [`ModelTable`] by limb width and
+/// [`mod@slot`], and takes the model's value from a per-provider memo
+/// of `predict(&[len])` keyed by (width, op, len), filled on first
+/// use. [`MacroModel::predict`] is pure and every call still adds its
+/// own value in call order, so the total is bit-identical to calling
+/// `predict` on every call. [`MpnOps::reset`] keeps the memo.
 #[derive(Debug, Clone)]
 pub struct ModeledMpn {
-    models32: BTreeMap<&'static str, MacroModel>,
-    models16: BTreeMap<&'static str, MacroModel>,
+    table: Arc<ModelTable>,
+    memo: [[Vec<Option<f64>>; 8]; 2],
     glue_cost: f64,
     cycles: f64,
-    counts: BTreeMap<&'static str, u64>,
+    counts: OpCounts,
 }
 
 impl ModeledMpn {
@@ -162,13 +254,7 @@ impl ModeledMpn {
     /// happens), so partial registries degrade gracefully during
     /// bring-up.
     pub fn new(models: BTreeMap<&'static str, MacroModel>, glue_cost: f64) -> Self {
-        ModeledMpn {
-            models32: models.clone(),
-            models16: models,
-            glue_cost,
-            cycles: 0.0,
-            counts: BTreeMap::new(),
-        }
+        Self::with_table(Arc::new(ModelTable::new(&models, &models)), glue_cost)
     }
 
     /// Builds a provider with distinct model registries per limb width
@@ -179,66 +265,71 @@ impl ModeledMpn {
         models16: BTreeMap<&'static str, MacroModel>,
         glue_cost: f64,
     ) -> Self {
+        Self::with_table(Arc::new(ModelTable::new(&models32, &models16)), glue_cost)
+    }
+
+    /// Builds a provider over a shared model table, with an empty memo.
+    pub fn with_table(table: Arc<ModelTable>, glue_cost: f64) -> Self {
         ModeledMpn {
-            models32,
-            models16,
+            table,
+            memo: Default::default(),
             glue_cost,
             cycles: 0.0,
-            counts: BTreeMap::new(),
+            counts: OpCounts::default(),
         }
     }
 
-    fn charge(&mut self, width: u32, name: &'static str, len: usize) {
-        *self.counts.entry(name).or_insert(0) += 1;
-        let models = if width == 16 {
-            &self.models16
-        } else {
-            &self.models32
-        };
-        if let Some(m) = models.get(name) {
-            self.cycles += m.predict(&[len as u64]);
+    fn charge(&mut self, width: u32, slot: usize, len: usize) {
+        self.counts.bump(slot);
+        let w = usize::from(width == 16);
+        if let Some(model) = &self.table.0[w][slot] {
+            let memo = &mut self.memo[w][slot];
+            if memo.len() <= len {
+                memo.resize(len + 1, None);
+            }
+            self.cycles += *memo[len].get_or_insert_with(|| model.predict(&[len as u64]));
         }
     }
 }
 
 impl<L: Limb> MpnOps<L> for ModeledMpn {
     fn add_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        self.charge(L::BITS, opname::ADD_N, a.len());
+        self.charge(L::BITS, slot::ADD_N, a.len());
         mpn::add_n(r, a, b)
     }
 
     fn sub_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        self.charge(L::BITS, opname::SUB_N, a.len());
+        self.charge(L::BITS, slot::SUB_N, a.len());
         mpn::sub_n(r, a, b)
     }
 
     fn mul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        self.charge(L::BITS, opname::MUL_1, a.len());
+        self.charge(L::BITS, slot::MUL_1, a.len());
         mpn::mul_1(r, a, b)
     }
 
     fn addmul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        self.charge(L::BITS, opname::ADDMUL_1, a.len());
+        self.charge(L::BITS, slot::ADDMUL_1, a.len());
         mpn::addmul_1(r, a, b)
     }
 
     fn submul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        self.charge(L::BITS, opname::SUBMUL_1, a.len());
+        self.charge(L::BITS, slot::SUBMUL_1, a.len());
         mpn::submul_1(r, a, b)
     }
 
     fn lshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        self.charge(L::BITS, opname::LSHIFT, a.len());
+        self.charge(L::BITS, slot::LSHIFT, a.len());
         mpn::lshift(r, a, cnt)
     }
 
     fn rshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        self.charge(L::BITS, opname::RSHIFT, a.len());
+        self.charge(L::BITS, slot::RSHIFT, a.len());
         mpn::rshift(r, a, cnt)
     }
 
     fn div_qhat(&mut self, n2: L, n1: L, n0: L, d1: L, d0: L) -> L {
-        self.charge(L::BITS, opname::DIV_QHAT, 1);
+        self.charge(L::BITS, slot::DIV_QHAT, 1);
         div_qhat_reference(n2, n1, n0, d1, d0)
     }
 
@@ -255,7 +346,7 @@ impl<L: Limb> MpnOps<L> for ModeledMpn {
         self.counts.clear();
     }
 
-    fn call_counts(&self) -> &BTreeMap<&'static str, u64> {
+    fn call_counts(&self) -> &OpCounts {
         &self.counts
     }
 }
@@ -283,8 +374,8 @@ mod tests {
         MpnOps::add_n(&mut ops, &mut r, &a, &b);
         MpnOps::addmul_1(&mut ops, &mut r, &a, 7);
         assert_eq!(<NativeMpn as MpnOps<u32>>::cycles(&ops), 0.0);
-        assert_eq!(ops.counts[opname::ADD_N], 2);
-        assert_eq!(ops.counts[opname::ADDMUL_1], 1);
+        assert_eq!(ops.counts[id::ADD_N], 2);
+        assert_eq!(ops.counts[id::ADDMUL_1], 1);
     }
 
     #[test]

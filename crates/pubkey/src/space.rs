@@ -154,6 +154,13 @@ impl ModExpConfig {
     /// Window widths explored (5 options).
     pub const WINDOWS: [u32; 5] = [1, 2, 3, 4, 5];
 
+    /// Number of points in the [`ModExpConfig::enumerate`] lattice.
+    pub const LATTICE_SIZE: usize = MulAlgo::ALL.len()
+        * Self::WINDOWS.len()
+        * CrtMode::ALL.len()
+        * Radix::ALL.len()
+        * CacheMode::ALL.len();
+
     /// A sensible default (and the baseline for Table 1's unoptimized
     /// software): schoolbook multiply + division, binary exponent
     /// scanning, no CRT, 32-bit limbs, no caching.
@@ -183,7 +190,7 @@ impl ModExpConfig {
     /// Enumerates the full 450-candidate lattice in a deterministic
     /// order.
     pub fn enumerate() -> Vec<ModExpConfig> {
-        let mut out = Vec::with_capacity(450);
+        let mut out = Vec::with_capacity(Self::LATTICE_SIZE);
         for &mul in &MulAlgo::ALL {
             for &window in &Self::WINDOWS {
                 for &crt in &CrtMode::ALL {
@@ -365,6 +372,7 @@ mod tests {
     fn lattice_has_450_distinct_points() {
         let all = ModExpConfig::enumerate();
         assert_eq!(all.len(), 450, "5 × 5 × 3 × 2 × 3");
+        assert_eq!(all.len(), ModExpConfig::LATTICE_SIZE);
         let set: BTreeSet<_> = all.iter().collect();
         assert_eq!(set.len(), 450);
     }

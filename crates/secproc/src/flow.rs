@@ -48,12 +48,12 @@ use macromodel::charact::{fit_planned, plan_stimuli, with_name, CharactOptions, 
 use macromodel::model::{MacroModel, ModelQuality, Monomial};
 use mpint::Natural;
 use pubkey::modexp::{mod_exp, ExpCache, ModExpError};
-use pubkey::ops::{ModeledMpn, MpnOps};
+use pubkey::ops::{ModelTable, ModeledMpn, MpnOps};
 use pubkey::space::{ModExpConfig, ParetoFront};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tie::adcurve::{AdCurve, AdPoint};
 use tie::callgraph::CallGraph;
@@ -68,24 +68,65 @@ use xr32::Fidelity;
 
 /// Fitted macro-models for every basic operation, with accuracy
 /// metadata.
+///
+/// The name-keyed registries are read-only: [`KernelModels::new`]
+/// indexes them once into a [`ModelTable`] that every
+/// [`KernelModels::modeled_ops`] provider shares, so the table cannot
+/// drift from the maps it was built from.
 #[derive(Debug, Clone)]
 pub struct KernelModels {
-    /// Per-op models for 32-bit limbs.
-    pub models32: BTreeMap<&'static str, MacroModel>,
-    /// Per-op models for 16-bit limbs.
-    pub models16: BTreeMap<&'static str, MacroModel>,
+    models32: BTreeMap<&'static str, MacroModel>,
+    models16: BTreeMap<&'static str, MacroModel>,
+    table: Arc<ModelTable>,
     /// Fit quality per (op, radix-tag) pair, e.g. `("mpn_add_n", 32)`.
     pub quality: BTreeMap<(&'static str, u32), ModelQuality>,
 }
 
 impl KernelModels {
-    /// Builds the macro-model-metered ops provider from these models.
-    pub fn modeled_ops(&self, glue_cost: f64) -> ModeledMpn {
-        ModeledMpn::with_radix_models(self.models32.clone(), self.models16.clone(), glue_cost)
+    /// Bundles per-op models for 32-bit and 16-bit limbs (keyed by
+    /// kernel name) with their fit quality, and builds the shared
+    /// indexed table.
+    pub fn new(
+        models32: BTreeMap<&'static str, MacroModel>,
+        models16: BTreeMap<&'static str, MacroModel>,
+        quality: BTreeMap<(&'static str, u32), ModelQuality>,
+    ) -> Self {
+        let table = Arc::new(ModelTable::new(&models32, &models16));
+        KernelModels {
+            models32,
+            models16,
+            table,
+            quality,
+        }
     }
 
-    /// Mean absolute percentage error across all fitted models (the
-    /// paper reports 11.8 % overall).
+    /// Per-op models for 32-bit limbs.
+    pub fn models32(&self) -> &BTreeMap<&'static str, MacroModel> {
+        &self.models32
+    }
+
+    /// Per-op models for 16-bit limbs.
+    pub fn models16(&self) -> &BTreeMap<&'static str, MacroModel> {
+        &self.models16
+    }
+
+    /// Builds the macro-model-metered ops provider from these models.
+    /// Cheap: the provider shares this set's indexed table and starts
+    /// with an empty `predict` memo.
+    pub fn modeled_ops(&self, glue_cost: f64) -> ModeledMpn {
+        ModeledMpn::with_table(Arc::clone(&self.table), glue_cost)
+    }
+
+    /// Mean absolute percentage error across all fitted models, on
+    /// their held-out validation points.
+    ///
+    /// This is leaf-model error only: each kernel's macro-model against
+    /// its own ISS measurements. The `explore` report's
+    /// `mean_abs_error_pct` is leaf-model error too: co-simulation
+    /// shares the estimate's host-side modexp control and its constant
+    /// `glue_cost`, and only the mpn leaves run on the ISS. Neither is
+    /// comparable to the paper's 11.8% whole-algorithm estimation
+    /// error.
     pub fn mean_abs_error_pct(&self) -> f64 {
         if self.quality.is_empty() {
             return 0.0;
@@ -245,8 +286,9 @@ pub struct FlowCtx<'a> {
     state: Mutex<FlowState>,
 }
 
-/// Builder for [`FlowCtx`]: collects the same knobs the old chained
-/// `FlowCtx::with_*` setters offered, then validates them *once* in
+/// Builder for [`FlowCtx`]: collects its knobs (kernel variant, pool,
+/// cache, metrics, spans, fault policy, fidelity), then validates them
+/// *once* in
 /// [`FlowBuilder::build`] so conflicting configurations are rejected
 /// up front instead of surfacing as mid-flow surprises.
 ///
@@ -393,78 +435,6 @@ const FIG4_STREAMS: u64 = 0x0400_0000;
 const ADHOC_STREAMS: u64 = 0x0500_0000;
 
 impl<'a> FlowCtx<'a> {
-    /// A context over `config` with the defaults: base kernels, an
-    /// environment-sized pool, no cache, no metrics, no injection.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through `FlowBuilder::new(..).build()`"
-    )]
-    pub fn new(config: &'a CpuConfig) -> Self {
-        FlowBuilder::new(config)
-            .build()
-            .expect("default flow configuration has no conflicts")
-    }
-
-    /// As `FlowCtx::new`, additionally arming the fault campaign from
-    /// the `WSP_FAULTS` environment spec when one is set (see
-    /// [`xfault::PlanSpec::parse`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through `FlowBuilder::from_env(..).build()`"
-    )]
-    pub fn from_env(config: &'a CpuConfig) -> Self {
-        FlowBuilder::from_env(config)
-            .build()
-            .expect("environment flow configuration has no conflicts")
-    }
-
-    /// Selects the kernel variant measured by the ISS-backed phases.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::variant`")]
-    pub fn with_variant(mut self, variant: KernelVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Runs the phases on a borrowed pool (e.g. a bench harness's).
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::pool`")]
-    pub fn with_pool(mut self, pool: &'a Pool) -> Self {
-        self.pool = PoolHandle::Borrowed(pool);
-        self
-    }
-
-    /// Serves ISS measurements from a kernel-cycle memo cache.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::cache`")]
-    pub fn with_cache(mut self, cache: &'a KCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Publishes per-phase progress metrics into a registry.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::metrics`")]
-    pub fn with_metrics(mut self, metrics: &'a xobs::Registry) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Records the phases into a hierarchical span tree: one span per
-    /// phase, one closed leaf per measurement unit (published in
-    /// submission order, so the tree's deterministic fields are
-    /// identical for any thread count), degradations as span events,
-    /// and — since the pool's job tracing is enabled alongside —
-    /// `wall_only` per-worker execution spans.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::spans`")]
-    pub fn with_spans(mut self, spans: &'a Spans) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
-    /// Sets the fault-injection and resilience policy.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::fault_policy`")]
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The core configuration the phases simulate.
     pub fn config(&self) -> &CpuConfig {
         self.config
@@ -815,11 +785,7 @@ impl<'a> FlowCtx<'a> {
             }
         }
         self.drain_worker_spans();
-        let models = KernelModels {
-            models32,
-            models16,
-            quality,
-        };
+        let models = KernelModels::new(models32, models16, quality);
         reg.gauge("flow.phase1.mean_abs_error_pct")
             .set(models.mean_abs_error_pct());
         reg.gauge("flow.phase1.wall_ms")
@@ -2230,23 +2196,23 @@ mod tests {
             .unwrap()
             .characterize(16, &quick_options());
         for op in opname::ALL {
-            assert!(models.models32.contains_key(op), "{op} missing (r32)");
-            assert!(models.models16.contains_key(op), "{op} missing (r16)");
+            assert!(models.models32().contains_key(op), "{op} missing (r32)");
+            assert!(models.models16().contains_key(op), "{op} missing (r16)");
         }
         let q = models.quality[&(opname::ADDMUL_1, 32)];
         assert!(q.mae_pct < 15.0, "addmul_1 fit error {}%", q.mae_pct);
         assert!(models.mean_abs_error_pct() < 20.0);
         // The registered SHA-1 block kernel is characterized too (the
         // registry's extensibility proof): linear in the block count.
-        assert!(models.models32.contains_key(opname::SHA1), "sha1 missing");
+        assert!(models.models32().contains_key(opname::SHA1), "sha1 missing");
         let qs = models.quality[&(opname::SHA1, 32)];
         assert!(qs.mae_pct < 15.0, "sha1 fit error {}%", qs.mae_pct);
-        let one = models.models32[opname::SHA1].predict(&[1]);
-        let four = models.models32[opname::SHA1].predict(&[4]);
+        let one = models.models32()[opname::SHA1].predict(&[1]);
+        let four = models.models32()[opname::SHA1].predict(&[4]);
         assert!(four > 3.0 * one, "sha1 cycles scale with blocks");
         // Per-limb cost: addmul > add (multiplies dominate).
-        let am = models.models32[opname::ADDMUL_1].predict(&[16]);
-        let an = models.models32[opname::ADD_N].predict(&[16]);
+        let am = models.models32()[opname::ADDMUL_1].predict(&[16]);
+        let an = models.models32()[opname::ADD_N].predict(&[16]);
         assert!(am > an, "addmul {am} vs add {an}");
     }
 
@@ -2445,12 +2411,12 @@ mod tests {
         assert!(kc.hits() > 0, "second run must hit the memo cache");
         for op in opname::ALL {
             for n in [1u64, 4, 8] {
-                let pa = a.models32[op].predict(&[n]);
-                assert_eq!(pa, b.models32[op].predict(&[n]), "{op} n={n} threads");
-                assert_eq!(pa, c.models32[op].predict(&[n]), "{op} n={n} warm cache");
+                let pa = a.models32()[op].predict(&[n]);
+                assert_eq!(pa, b.models32()[op].predict(&[n]), "{op} n={n} threads");
+                assert_eq!(pa, c.models32()[op].predict(&[n]), "{op} n={n} warm cache");
                 assert_eq!(
-                    a.models16[op].predict(&[n]),
-                    c.models16[op].predict(&[n]),
+                    a.models16()[op].predict(&[n]),
+                    c.models16()[op].predict(&[n]),
                     "{op} n={n} r16"
                 );
             }
@@ -2533,8 +2499,8 @@ mod tests {
         for op in opname::ALL {
             for n in [1u64, 4, 8] {
                 assert_eq!(
-                    ma.models32[op].predict(&[n]),
-                    mb.models32[op].predict(&[n]),
+                    ma.models32()[op].predict(&[n]),
+                    mb.models32()[op].predict(&[n]),
                     "{op} n={n}"
                 );
             }

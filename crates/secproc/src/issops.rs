@@ -20,8 +20,7 @@ use crate::insns;
 use kreg::kernels::mpn as kmpn;
 use kreg::{id, CallConv, KernelError, KernelId};
 use mpint::limb::Limb;
-use pubkey::ops::{opname, MpnOps};
-use std::collections::BTreeMap;
+use pubkey::ops::{slot, MpnOps, OpCounts};
 use std::sync::{Arc, OnceLock};
 use xfault::{FaultPlan, PlanSpec};
 use xobs::trace::TraceSink;
@@ -97,7 +96,7 @@ pub struct IssMpn {
     cpu16: Cpu,
     prog16: Arc<Program>,
     cycles: f64,
-    counts: BTreeMap<&'static str, u64>,
+    counts: OpCounts,
     glue_cost: f64,
     verify: bool,
     errors: Vec<KernelError>,
@@ -185,7 +184,7 @@ impl IssMpn {
             cpu16,
             prog16: Arc::clone(prog16),
             cycles: 0.0,
-            counts: BTreeMap::new(),
+            counts: OpCounts::default(),
             glue_cost: 4.0,
             verify: true,
             errors: Vec::new(),
@@ -515,10 +514,6 @@ impl IssMpn {
         Ok(())
     }
 
-    fn bump(&mut self, name: &'static str) {
-        *self.counts.entry(name).or_insert(0) += 1;
-    }
-
     /// Records a simulator error as the matching typed kernel error.
     /// The degraded in-band result is 0 — callers on the measurement
     /// path must check [`IssMpn::kernel_errors`] (or use
@@ -621,7 +616,7 @@ macro_rules! impl_iss_mpnops {
     ($limb:ty, $call:ident, $golden:ident) => {
         impl MpnOps<$limb> for IssMpn {
             fn add_n(&mut self, r: &mut [$limb], a: &[$limb], b: &[$limb]) -> bool {
-                self.bump(opname::ADD_N);
+                self.counts.bump(slot::ADD_N);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -649,7 +644,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn sub_n(&mut self, r: &mut [$limb], a: &[$limb], b: &[$limb]) -> bool {
-                self.bump(opname::SUB_N);
+                self.counts.bump(slot::SUB_N);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -677,7 +672,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn mul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.bump(opname::MUL_1);
+                self.counts.bump(slot::MUL_1);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -707,7 +702,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn addmul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.bump(opname::ADDMUL_1);
+                self.counts.bump(slot::ADDMUL_1);
                 let expect_pair = if self.verify {
                     let g = golden!(id::ADDMUL_1, VecScalar, $golden);
                     let mut expect = r[..a.len()].to_vec();
@@ -743,7 +738,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn submul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.bump(opname::SUBMUL_1);
+                self.counts.bump(slot::SUBMUL_1);
                 let expect_pair = if self.verify {
                     let g = golden!(id::SUBMUL_1, VecScalar, $golden);
                     let mut expect = r[..a.len()].to_vec();
@@ -779,7 +774,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn lshift(&mut self, r: &mut [$limb], a: &[$limb], cnt: u32) -> $limb {
-                self.bump(opname::LSHIFT);
+                self.counts.bump(slot::LSHIFT);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -806,7 +801,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn rshift(&mut self, r: &mut [$limb], a: &[$limb], cnt: u32) -> $limb {
-                self.bump(opname::RSHIFT);
+                self.counts.bump(slot::RSHIFT);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -833,7 +828,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn div_qhat(&mut self, n2: $limb, n1: $limb, n0: $limb, d1: $limb, d0: $limb) -> $limb {
-                self.bump(opname::DIV_QHAT);
+                self.counts.bump(slot::DIV_QHAT);
                 let q = self.$call(
                     id::DIV_QHAT,
                     &[
@@ -871,7 +866,7 @@ macro_rules! impl_iss_mpnops {
                 self.counts.clear();
             }
 
-            fn call_counts(&self) -> &BTreeMap<&'static str, u64> {
+            fn call_counts(&self) -> &OpCounts {
                 &self.counts
             }
         }
@@ -911,6 +906,13 @@ mod tests {
         }
         assert!(MpnOps::<u32>::cycles(&iss) > 0.0);
         assert!(iss.kernel_errors().is_empty(), "{:?}", iss.kernel_errors());
+        let counts = *MpnOps::<u32>::call_counts(&iss);
+        for op in id::MPN {
+            let calls = if op == id::DIV_QHAT { 0 } else { 7 };
+            assert_eq!(counts[op], calls, "{op}");
+        }
+        MpnOps::<u32>::reset(&mut iss);
+        assert_eq!(*MpnOps::<u32>::call_counts(&iss), OpCounts::default());
     }
 
     #[test]

@@ -357,7 +357,9 @@ impl JobSpec {
 
     /// Checks everything a spec can get wrong before any work starts:
     /// the core id and variant tag resolve, and an `explore` job has a
-    /// non-zero operand width. [`JobSpec::from_json`] calls it so a bad
+    /// non-zero operand width and co-simulates between one and
+    /// [`ModExpConfig::LATTICE_SIZE`] candidates (each sample is a
+    /// distinct ranked candidate). [`JobSpec::from_json`] calls it so a bad
     /// wire spec fails at parse time, and [`JobSpec::run`] calls it so
     /// a spec built in code fails the same way instead of mid-run.
     ///
@@ -367,10 +369,21 @@ impl JobSpec {
     fn validate(&self) -> Result<(), Error> {
         self.config()?;
         self.kernel_variant()?;
-        if self.kind == JobKind::Explore && self.bits == 0 {
-            return Err(Error::JobSpec {
-                detail: "explore needs bits >= 1".into(),
-            });
+        if self.kind == JobKind::Explore {
+            if self.bits == 0 {
+                return Err(Error::JobSpec {
+                    detail: "explore needs bits >= 1".into(),
+                });
+            }
+            let lattice = ModExpConfig::LATTICE_SIZE;
+            if !(1..=lattice).contains(&self.cosim_samples) {
+                return Err(Error::JobSpec {
+                    detail: format!(
+                        "cosim_samples must be in 1..={lattice} (the candidate lattice), got {}",
+                        self.cosim_samples
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -510,7 +523,9 @@ impl JobSpec {
             .find(|c| c.config == ModExpConfig::baseline())
             .ok_or_else(|| Error::flow("baseline missing from the lattice"))?;
 
-        let step = result.ranked.len() / self.cosim_samples.max(1);
+        // `validate` keeps `cosim_samples` in 1..=450, so `step >= 1`
+        // and the samples are distinct ranked candidates.
+        let step = result.ranked.len() / self.cosim_samples;
         let mut errors = Vec::new();
         let mut speedups = Vec::new();
         let mut samples = Vec::new();
@@ -540,6 +555,10 @@ impl JobSpec {
             errors.push(err);
             speedups.push(speedup);
         }
+        // Co-simulation shares the estimate's host-side modexp control
+        // and its `glue_cost`; only the mpn leaves run on the ISS. So
+        // `mean_abs_error_pct` measures leaf macro-model error alone,
+        // not whole-algorithm estimation error (the paper's 11.8%).
         let mae = errors.iter().sum::<f64>() / errors.len() as f64;
         let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
 
@@ -836,6 +855,34 @@ mod tests {
             .run(&JobEnv::new(&pool))
             .expect_err("rejected");
         assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
+    }
+
+    #[test]
+    fn cosim_samples_outside_the_lattice_are_rejected_at_parse() {
+        for n in [0, 451, 1000] {
+            let text = format!(r#"{{"kind":"explore","bits":128,"cosim_samples":{n}}}"#);
+            let err = JobSpec::parse(&text).expect_err(&text);
+            assert_eq!(err.code(), codes::JOB_SPEC, "{text}: {err}");
+            assert!(err.to_string().contains("cosim_samples"), "{err}");
+        }
+        for n in [1, 2, 11, 450] {
+            let text = format!(r#"{{"kind":"explore","bits":128,"cosim_samples":{n}}}"#);
+            assert_eq!(JobSpec::parse(&text).expect(&text).cosim_samples, n);
+        }
+        // Only exploration co-simulates; measurement kinds still parse.
+        JobSpec::parse(r#"{"kind":"measure","cosim_samples":0}"#).expect("parses");
+    }
+
+    #[test]
+    fn cosim_samples_outside_the_lattice_are_rejected_before_running() {
+        let pool = Pool::new(1);
+        for n in [0, 451] {
+            let err = JobSpec::explore(128, n)
+                .run(&JobEnv::new(&pool))
+                .expect_err("rejected");
+            assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
+            assert!(err.to_string().contains("cosim_samples"), "{err}");
+        }
     }
 
     #[test]

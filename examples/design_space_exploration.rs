@@ -37,7 +37,7 @@ fn main() {
         println!(
             "  {:<14} {:<46} R²={:.4} |err|={:.1}%",
             op,
-            models.models32[op].to_string(),
+            models.models32()[op].to_string(),
             q.r_squared,
             q.mae_pct
         );

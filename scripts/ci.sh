@@ -49,10 +49,11 @@ target/release/xooo_gate --json | target/release/xr32-trace check-report -
 # Determinism gate: the parallel methodology engine must produce
 # byte-identical reports (modulo host-timing fields, stripped by
 # `normalize-report`) at 1 thread and 8 threads, each from a cold
-# kernel-cycle cache.
+# kernel-cycle cache. sec43_exploration and fig8_ssl are the two
+# consumers of macro-model metering (`ModeledMpn`).
 DET=$(mktemp -d /tmp/ci_det.XXXXXX)
 trap 'rm -f "$TRACE"; rm -rf "$DET"' EXIT
-for run in "sec43_exploration --json 128 2" "fig5_adcurves --json 8"; do
+for run in "sec43_exploration --json 128 2" "fig5_adcurves --json 8" "fig8_ssl --json 256"; do
   # shellcheck disable=SC2086
   set -- $run
   name=$1
