@@ -156,7 +156,7 @@ fn main() {
         eprintln!("fig8_ssl: kernel error: {e}");
     }
     for d in ctx.degradations() {
-        eprintln!("fig8_ssl: degraded: {}", d.to_json());
+        eprintln!("fig8_ssl: degraded: {}", d.to_json().to_string_compact());
     }
 
     println!("measured components:");

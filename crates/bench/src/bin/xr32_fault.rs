@@ -85,8 +85,8 @@ fn run_unit(config: &CpuConfig, index: usize, unit: &Unit, rate_ppm: u32, limbs:
     let fired = iss.faults_fired();
 
     // Recovery proof: a fault-free replay of the same stimuli with
-    // golden verification on. Pure correctness, so it rides the
-    // pre-decoded fast path.
+    // golden verification on. Pure correctness, so it rides the fast
+    // path.
     let mut clean = IssMpn::with_variant(config.clone(), variant);
     clean.set_fidelity(Fidelity::Fast);
     clean.set_cycle_budget(xfault::DEFAULT_CYCLE_BUDGET);

@@ -165,22 +165,6 @@ pub struct Degradation {
     pub code: u32,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Degradation {
     /// An externally observed event (a bench harness degrading on its
     /// own authority, outside the flow's retry machinery): no attempts
@@ -211,26 +195,20 @@ impl Degradation {
     }
 
     /// Renders the event as a JSON object (one element of a run
-    /// report's `degradations` array).
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .retry_seeds
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"phase\":\"{}\",\"unit\":\"{}\",\"kernel\":\"{}\",\"action\":\"{}\",\
-             \"code\":{},\"attempts\":{},\"retry_seeds\":[{}],\"error\":\"{}\"}}",
-            self.phase,
-            json_escape(&self.unit),
-            json_escape(&self.kernel),
-            self.action,
-            self.code,
-            self.attempts,
-            seeds,
-            json_escape(&self.error)
-        )
+    /// report's `degradations` array). Retry seeds are decimal strings,
+    /// as in the job wire format: a seed uses the full `u64` range,
+    /// which a JSON number cannot carry exactly.
+    pub fn to_json(&self) -> Json {
+        let seeds = self.retry_seeds.iter().map(|s| Json::from(s.to_string()));
+        Json::obj()
+            .set("phase", self.phase)
+            .set("unit", self.unit.as_str())
+            .set("kernel", self.kernel.as_str())
+            .set("action", self.action)
+            .set("code", self.code)
+            .set("attempts", self.attempts)
+            .set("retry_seeds", Json::Arr(seeds.collect()))
+            .set("error", self.error.as_str())
     }
 }
 
@@ -374,7 +352,7 @@ impl<'a> FlowBuilder<'a> {
     /// run golden checks and triage sweeps at. Cycle *measurements*
     /// always use the cycle-accurate engine; [`Fidelity::Fast`] is
     /// rejected at [`FlowBuilder::build`] when a fault plan is armed
-    /// (fault sites live in the pipeline model).
+    /// (fault plans need the cycle-accurate engine).
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
         self
@@ -486,7 +464,7 @@ impl<'a> FlowCtx<'a> {
 
     /// The recorded resilience events rendered as JSON objects (the
     /// run-report `degradations` array).
-    pub fn degradations_json(&self) -> Vec<String> {
+    pub fn degradations_json(&self) -> Vec<Json> {
         self.state()
             .degradations
             .iter()
@@ -1018,7 +996,7 @@ impl<'a> FlowCtx<'a> {
                             .map(|sp| sp.enter(format!("xopt.generate.{}", desc.id.name())));
                         if let Some(sp) = self.spans {
                             // Golden admission sweeps run on the
-                            // pre-decoded fast path.
+                            // fast path.
                             sp.set_attr("fidelity", "fast");
                         }
                         let outcomes = genvar::admitted_variants(desc, self.config);
@@ -1383,7 +1361,7 @@ impl<'a> FlowCtx<'a> {
             let measure = || {
                 // The full registry workload, warmed then measured with
                 // the phase-3 seeds; verification off (measurement, not
-                // admission — xooo_gate owns the co-sim identity check).
+                // admission — engine_gate owns the co-sim identity check).
                 let mut iss = IssMpn::with_variant(config.clone(), *v);
                 iss.set_verify(false);
                 let mut total = 0.0;
@@ -2587,11 +2565,38 @@ mod tests {
             action: "fallback-fault-free",
             code: codes::KERNEL_DIVERGENCE,
         };
-        let json = d.to_json();
+        let json = d.to_json().to_string_compact();
         assert!(json.contains("\"phase\":\"measure\""), "{json}");
-        assert!(json.contains("\"retry_seeds\":[10,20]"), "{json}");
+        assert!(json.contains("\"retry_seeds\":[\"10\",\"20\"]"), "{json}");
         assert!(json.contains("\"code\":1002"), "{json}");
         assert!(json.contains("\\\"x\\\""), "escapes quotes: {json}");
+    }
+
+    #[test]
+    fn retried_unit_report_carries_exact_retry_seeds() {
+        let cfg = CpuConfig::default();
+        let plan = PlanSpec::new(3, 1_000_000, &[FaultSite::DataMem]);
+        let ctx = FlowBuilder::new(&cfg)
+            .fault_policy(FaultPolicy::with_plan(plan))
+            .build()
+            .unwrap();
+        ctx.measure_kernel_cycles(KernelVariant::Base, kreg::id::ADD_N, 8, 7, 8)
+            .unwrap();
+        let seeds = ctx.degradations()[0].retry_seeds.clone();
+        assert!(
+            seeds.iter().any(|&s| s > 1 << 53),
+            "the check needs a seed beyond f64's exact integers: {seeds:?}"
+        );
+        let report = xobs::RunReport::new("r").with_degradations(ctx.degradations_json());
+        let parsed = xobs::json::parse(&report.render()).unwrap();
+        let rendered: Vec<u64> = parsed.get("degradations").and_then(Json::as_arr).unwrap()[0]
+            .get("retry_seeds")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(rendered, seeds);
     }
 
     #[test]

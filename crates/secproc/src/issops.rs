@@ -195,8 +195,8 @@ impl IssMpn {
 
     /// Selects the execution engine for both radix cores. The default
     /// is [`Fidelity::CycleAccurate`]. With [`Fidelity::Fast`]
-    /// selected, kernel invocations run on the pre-decoded functional
-    /// engine: golden verification ([`IssMpn::verify32`] /
+    /// selected, kernel invocations run untimed (the fast path):
+    /// golden verification ([`IssMpn::verify32`] /
     /// [`IssMpn::verify16`]) is bit-identical but cycle measurement is
     /// structurally refused — [`IssMpn::measure32`] /
     /// [`IssMpn::measure16`] return a typed

@@ -29,7 +29,7 @@
 //! `wall_only` host-execution (per-worker) spans.
 //! Schema 6 adds the optional `fidelity_summary` object: how a
 //! dual-fidelity run split its work between the cycle-accurate
-//! pipeline and the pre-decoded fast path (e.g. sweep and retired
+//! engine and the fast path (e.g. sweep and retired
 //! instruction counts per engine). Omitted by single-fidelity runs.
 //! Schema 7 adds the optional `core_configs` array: one object per
 //! core model a cross-product (core config × accelerator level) run
@@ -155,21 +155,15 @@ impl RunReport {
     }
 
     /// Records the flow's resilience events (retries, fault-free
-    /// fallbacks, quarantine substitutions). Each entry is a rendered
-    /// JSON object, as produced by the flow's degradation log; entries
-    /// that fail to parse are kept as JSON strings rather than dropped.
-    /// Serialized as the `degradations` array when non-empty; a run
-    /// that degraded nothing omits the field (schema 3).
-    pub fn with_degradations<I, S>(mut self, events: I) -> Self
+    /// fallbacks, quarantine substitutions), one JSON object each, as
+    /// produced by the flow's degradation log. Serialized as the
+    /// `degradations` array when non-empty; a run that degraded
+    /// nothing omits the field (schema 3).
+    pub fn with_degradations<I>(mut self, events: I) -> Self
     where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
+        I: IntoIterator<Item = Json>,
     {
-        self.degradations.extend(
-            events
-                .into_iter()
-                .map(|e| crate::json::parse(e.as_ref()).unwrap_or_else(|_| Json::from(e.as_ref()))),
-        );
+        self.degradations.extend(events);
         self
     }
 
@@ -210,7 +204,7 @@ impl RunReport {
     }
 
     /// Records how a dual-fidelity run split its work between the
-    /// cycle-accurate pipeline and the pre-decoded fast path. `summary`
+    /// cycle-accurate engine and the fast path. `summary`
     /// should be a JSON object of deterministic counts (e.g.
     /// `{"fast": {"sweeps": 64, "insns": 1.2e6}, "accurate": ...}`).
     /// Serialized as the `fidelity_summary` field; single-fidelity runs
@@ -559,14 +553,15 @@ mod tests {
 
     #[test]
     fn degradations_and_fault_campaign_serialize_and_validate() {
-        let healthy = RunReport::new("r").with_degradations(Vec::<String>::new());
+        let healthy = RunReport::new("r").with_degradations(Vec::new());
         assert!(healthy.to_json().get("degradations").is_none());
         assert!(healthy.to_json().get("fault_campaign").is_none());
 
         let report = RunReport::new("r")
-            .with_degradations([
-                r#"{"phase":"curves","kernel":"mpn_add_n","action":"fallback-fault-free"}"#,
-            ])
+            .with_degradations([Json::obj()
+                .set("phase", "curves")
+                .set("kernel", "mpn_add_n")
+                .set("action", "fallback-fault-free")])
             .with_fault_campaign([Json::obj()
                 .set("seed", 7u64)
                 .set("site", "data_mem")

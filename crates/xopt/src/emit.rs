@@ -49,12 +49,12 @@ fn free_reg(unit: &Unit) -> Result<Reg, OptError> {
 
 fn cust(name: String, regs: Vec<Reg>, uregs: Vec<UserReg>, imm: i32) -> Item {
     Item::Op {
-        insn: Insn::Custom(CustomOp {
+        insn: Insn::Custom(Box::new(CustomOp {
             name,
             regs,
             uregs,
             imm,
-        }),
+        })),
         target: None,
     }
 }

@@ -100,7 +100,7 @@ fn run_variant(
 ) -> Result<Run, OptError> {
     let mut cpu = Cpu::with_extensions(config.clone(), ext.clone());
     // Golden admission compares architectural results only, so variant
-    // sweeps ride the pre-decoded fast path; timing is measured elsewhere.
+    // sweeps ride the fast path; timing is measured elsewhere.
     cpu.set_fidelity(xr32::Fidelity::Fast);
     cpu.set_fuel(u64::MAX);
     for &(addr, data) in preload {

@@ -24,7 +24,7 @@
 //! (= `a15`); user registers are `ur0`–`ur15`. Immediates accept decimal
 //! and `0x` hex with optional sign.
 
-use crate::isa::{CustomOp, Insn, Reg, UserReg};
+use crate::isa::{CustomOp, Insn, InsnClass, Reg, UserReg};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -39,8 +39,12 @@ pub struct Program {
     /// First label name per instruction index (for fast profiling).
     names_by_pc: Vec<Option<String>>,
     /// Content fingerprint over the instruction sequence, computed once
-    /// at assembly; keys per-core pre-decoded fast-path caches.
+    /// at assembly; keys the per-core custom-handler caches.
     fp: u64,
+    /// Exclusive end of the basic block containing each instruction.
+    block_ends: Vec<u32>,
+    /// [`Insn::class`] of each instruction.
+    classes: Vec<InsnClass>,
 }
 
 impl Program {
@@ -86,6 +90,22 @@ impl Program {
     /// uses it to key its per-core decode cache.
     pub fn fingerprint(&self) -> u64 {
         self.fp
+    }
+
+    /// Exclusive end of the basic block containing each instruction.
+    /// Blocks tile the program: leaders are instruction 0, every
+    /// label, every branch target and the instruction after every
+    /// block-ending one, so any entry pc (labels, `jr`/`ret` targets)
+    /// lands inside a block. The executor checks the pc range once per
+    /// block.
+    pub(crate) fn block_ends(&self) -> &[u32] {
+        &self.block_ends
+    }
+
+    /// [`Insn::class`] of each instruction, looked up once at assembly
+    /// so the executor counts classes without a branch.
+    pub(crate) fn classes(&self) -> &[InsnClass] {
+        &self.classes
     }
 
     /// Global labels — those not starting with `.`. By the kernel
@@ -186,13 +206,43 @@ pub fn assemble(src: &str) -> Result<Program, AssembleError> {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     insns.hash(&mut hasher);
     let fp = hasher.finish();
+    let block_ends = block_ends(&insns, &labels);
+    let classes = insns.iter().map(Insn::class).collect();
     Ok(Program {
         insns,
         labels,
         lines,
         names_by_pc,
         fp,
+        block_ends,
+        classes,
     })
+}
+
+fn block_ends(insns: &[Insn], labels: &BTreeMap<String, usize>) -> Vec<u32> {
+    let n = insns.len();
+    let mut leader = vec![false; n + 1];
+    leader[n] = true;
+    for &at in labels.values().filter(|&&at| at <= n) {
+        leader[at] = true;
+    }
+    for (pc, insn) in insns.iter().enumerate() {
+        if let Some(t) = insn.branch_target().filter(|&t| t <= n) {
+            leader[t] = true;
+        }
+        if insn.ends_block() {
+            leader[pc + 1] = true;
+        }
+    }
+    let mut ends = vec![0u32; n];
+    let mut end = n as u32;
+    for pc in (0..n).rev() {
+        if leader[pc + 1] {
+            end = (pc + 1) as u32;
+        }
+        ends[pc] = end;
+    }
+    ends
 }
 
 fn is_ident(s: &str) -> bool {
@@ -465,12 +515,12 @@ fn parse_stmt(
                     return Err(err(line, format!("bad custom operand {tok:?}")));
                 }
             }
-            Insn::Custom(CustomOp {
+            Insn::Custom(Box::new(CustomOp {
                 name,
                 regs,
                 uregs,
                 imm: imm_val.unwrap_or(0),
-            })
+            }))
         }
         other => return Err(err(line, format!("unknown mnemonic `{other}`"))),
     };

@@ -294,12 +294,12 @@ mod tests {
 
         let mut ext = ExtensionSet::new();
         ext.register(CustomInsnDef::new("mac4", 2, 0, |_, _| Ok(())));
-        let cust = Insn::Custom(CustomOp {
+        let cust = Insn::Custom(Box::new(CustomOp {
             name: "mac4".into(),
             regs: vec![],
             uregs: vec![],
             imm: 0,
-        });
+        }));
         assert_eq!(cm.issue_cycles(&cust, Some(&ext)), 2);
         assert_eq!(cm.issue_cycles(&cust, None), 1);
     }

@@ -1,33 +1,27 @@
-//! The cycle-accurate XR32 executor.
+//! The XR32 core: architectural state, a timing model, and the run
+//! entry points.
 //!
 //! `Cpu` owns the architectural state — registers, carry, memory, user
-//! registers, caches, the cycle counter — and delegates the pipeline
-//! (decode/issue/retire timing, trace-event emission, fault-plan hook
-//! points) to a pluggable [`CoreModel`](crate::xcore::CoreModel)
-//! selected by [`CpuConfig::core`]:
-//!
-//! - [`InOrderCore`](crate::xcore::InOrderCore): the paper's baseline
-//!   single-issue in-order 5-stage pipeline abstraction (the timing
-//!   model is documented in [`crate::xcore::inorder`]);
-//! - [`OooCore`](crate::xcore::OooCore): a scoreboarded out-of-order
-//!   family with parameterized structure widths (documented in
-//!   [`crate::xcore::ooo`]).
-//!
-//! Both models run identical functional semantics, so the architectural
-//! state after a run is bit-identical across core models and the
-//! pre-decoded [`crate::xjit`] fast path; only cycle accounting
-//! differs.
+//! registers — and the timing state of the cycle-accurate model
+//! [`CpuConfig::core`] selects: the paper's baseline single-issue
+//! in-order pipeline ([`crate::xcore::inorder`]) or a scoreboarded
+//! out-of-order family ([`crate::xcore::ooo`]), each with its caches
+//! and cycle counter. Every run executes through the one instruction
+//! step and driver in [`crate::exec`]; [`Fidelity::Fast`] runs the same
+//! driver untimed ([`crate::xjit`]). The architectural state after a
+//! run is therefore bit-identical across core models and the fast
+//! path; only cycle accounting differs.
 
 use crate::asm::Program;
-use crate::cache::{Cache, CacheStats};
+use crate::cache::CacheStats;
 use crate::config::CpuConfig;
+use crate::exec::{Arch, Handlers, Run};
 use crate::ext::{CustomInsnError, ExtensionSet, UserRegFile};
 use crate::isa::Reg;
 use crate::mem::{AccessError, Memory};
-use crate::xcore::{CoreEnv, CoreModel};
-use crate::xjit::{self, FastProgram, Fidelity};
+use crate::xcore::Core;
+use crate::xjit::{Fidelity, Untimed};
 use std::fmt;
-use std::sync::Arc;
 use xfault::FaultPlan;
 use xobs::trace::TraceSink;
 
@@ -151,37 +145,29 @@ impl RunSummary {
 /// A simulated XR32 core.
 pub struct Cpu {
     config: CpuConfig,
-    regs: [u32; 16],
-    carry: bool,
-    mem: Memory,
-    uregs: UserRegFile,
+    arch: Arch,
     ext: ExtensionSet,
-    icache: Cache,
-    dcache: Cache,
-    cycles: u64,
-    reg_ready: [u64; 16],
+    /// The cycle-accurate timing model and its clock and caches, built
+    /// from [`CpuConfig::core`] at construction.
+    core: Core,
     fuel: u64,
-    fault: Option<FaultPlan>,
     fidelity: Fidelity,
-    /// Cumulative retired-instruction count across all runs (both
-    /// engines) — part of the architectural state the dual-fidelity
-    /// co-simulation checks compare.
+    /// Cumulative retired-instruction count across all runs (every
+    /// engine) — part of the architectural state the co-simulation
+    /// checks compare.
     retired: u64,
-    /// Pre-decoded fast-path programs, keyed by content fingerprint.
-    /// Safe per-core: the configuration and extension set are fixed at
+    /// Custom handlers resolved per program, keyed by content
+    /// fingerprint. Safe per core: the extension set is fixed at
     /// construction.
-    fast_cache: Vec<(u64, Arc<FastProgram>)>,
-    /// The pipeline model executing cycle-accurate runs, built from
-    /// [`CpuConfig::core`] at construction.
-    core: Box<dyn CoreModel + Send>,
+    handlers: Vec<(u64, Handlers)>,
 }
 
 impl fmt::Debug for Cpu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cpu")
-            .field("cycles", &self.cycles)
-            .field("regs", &self.regs)
-            .field("carry", &self.carry)
+            .field("cycles", &self.cycles())
+            .field("regs", &self.arch.regs)
+            .field("carry", &self.arch.carry)
             .finish_non_exhaustive()
     }
 }
@@ -198,23 +184,20 @@ impl Cpu {
     pub fn with_extensions(config: CpuConfig, ext: ExtensionSet) -> Self {
         let mut regs = [0; 16];
         regs[Reg::SP.index()] = config.mem_size as u32;
-        let core = config.core.build();
         Cpu {
-            core,
-            regs,
-            carry: false,
-            mem: Memory::new(config.mem_size),
-            uregs: UserRegFile::new(config.user_regs, config.user_reg_words),
+            core: Core::new(&config),
+            arch: Arch {
+                regs,
+                carry: false,
+                mem: Memory::new(config.mem_size),
+                uregs: UserRegFile::new(config.user_regs, config.user_reg_words),
+                fault: None,
+            },
             ext,
-            icache: Cache::new(config.icache),
-            dcache: Cache::new(config.dcache),
-            cycles: 0,
-            reg_ready: [0; 16],
             fuel: 200_000_000,
-            fault: None,
             fidelity: Fidelity::CycleAccurate,
             retired: 0,
-            fast_cache: Vec::new(),
+            handlers: Vec::new(),
             config,
         }
     }
@@ -235,7 +218,7 @@ impl Cpu {
     ///
     /// Panics if `i > 15`.
     pub fn reg(&self, i: usize) -> u32 {
-        self.regs[i]
+        self.arch.regs[i]
     }
 
     /// Writes general register `i`.
@@ -244,27 +227,27 @@ impl Cpu {
     ///
     /// Panics if `i > 15`.
     pub fn set_reg(&mut self, i: usize, v: u32) {
-        self.regs[i] = v;
+        self.arch.regs[i] = v;
     }
 
     /// The data memory.
     pub fn mem(&self) -> &Memory {
-        &self.mem
+        &self.arch.mem
     }
 
     /// Mutable access to data memory (for setting up kernel inputs).
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        &mut self.arch.mem
     }
 
     /// The user (wide) register file.
     pub fn uregs(&self) -> &UserRegFile {
-        &self.uregs
+        &self.arch.uregs
     }
 
     /// Cycles elapsed since construction or [`Cpu::reset_timing`].
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.core.clock().cycles
     }
 
     /// Sets the maximum number of instructions a run may execute before
@@ -275,13 +258,12 @@ impl Cpu {
 
     /// Selects the execution engine for subsequent runs. The default is
     /// [`Fidelity::CycleAccurate`]. With [`Fidelity::Fast`] selected,
-    /// runs execute on the pre-decoded functional engine
-    /// ([`crate::xjit`]): architectural state (registers, carry,
-    /// memory, user registers, retired count) is bit-identical, but
-    /// summaries report zero cycles and zero cache activity, trace
-    /// sinks are **not** invoked, and an armed fault plan forces a
-    /// silent fallback to the cycle-accurate engine (every fault site
-    /// lives in the pipeline model).
+    /// runs execute untimed ([`crate::xjit`]): architectural state
+    /// (registers, carry, memory, user registers, retired count) is
+    /// bit-identical, but summaries report zero cycles and zero cache
+    /// activity, trace sinks are **not** invoked, and an armed fault
+    /// plan forces a silent fallback to the cycle-accurate engine (the
+    /// cache-tag site needs a cache to corrupt).
     pub fn set_fidelity(&mut self, fidelity: Fidelity) {
         self.fidelity = fidelity;
     }
@@ -291,9 +273,9 @@ impl Cpu {
         self.fidelity
     }
 
-    /// Instructions retired across all runs on this core (both
-    /// engines), part of the architectural state compared by the
-    /// dual-fidelity co-simulation checks. Not cleared by
+    /// Instructions retired across all runs on this core (every
+    /// engine), part of the architectural state compared by the
+    /// co-simulation checks. Not cleared by
     /// [`Cpu::reset_timing`].
     pub fn retired(&self) -> u64 {
         self.retired
@@ -305,33 +287,29 @@ impl Cpu {
     /// cost one `Option` test and execution is bit-identical to a core
     /// without the feature.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
+        self.arch.fault = Some(plan);
     }
 
     /// Disarms and returns the current fault plan (with its per-site
     /// fired-injection counters), if any.
     pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
+        self.arch.fault.take()
     }
 
     /// The armed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
+        self.arch.fault.as_ref()
     }
 
     /// Clears cycles, caches, registers, the carry flag and the core
     /// model's internal timing state such as branch-predictor counters
     /// (memory is preserved).
     pub fn reset_timing(&mut self) {
-        self.core.reset_timing();
-        self.cycles = 0;
-        self.reg_ready = [0; 16];
-        self.regs = [0; 16];
-        self.regs[Reg::SP.index()] = self.config.mem_size as u32;
-        self.carry = false;
-        self.icache.reset();
-        self.dcache.reset();
-        self.uregs.clear();
+        self.core.reset();
+        self.arch.regs = [0; 16];
+        self.arch.regs[Reg::SP.index()] = self.config.mem_size as u32;
+        self.arch.carry = false;
+        self.arch.uregs.clear();
     }
 
     /// Runs `program` from its `main` label (or instruction 0 when no
@@ -431,10 +409,8 @@ impl Cpu {
             pc: 0,
             reason: format!("undefined entry label {label:?}"),
         })?;
-        for (i, &a) in args.iter().enumerate() {
-            self.regs[i] = a;
-        }
-        self.regs[Reg::RA.index()] = RETURN_SENTINEL;
+        self.arch.regs[..args.len()].copy_from_slice(args);
+        self.arch.regs[Reg::RA.index()] = RETURN_SENTINEL;
         self.execute(program, entry, label, sink)
     }
 
@@ -445,103 +421,54 @@ impl Cpu {
         entry_name: &str,
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> Result<RunSummary, SimError> {
-        if matches!(self.fidelity, Fidelity::Fast) && self.fault.is_none() {
-            // Functional fast path: pre-decoded micro-ops, architectural
-            // state only. Trace sinks see nothing (there are no cycles
-            // to attribute); an armed fault plan keeps the accurate
-            // engine (hook points live in the pipeline model).
-            return self.execute_fast(program, entry);
-        }
-        let start_cycles = self.cycles;
-        let icache_before = self.icache.stats();
-        let dcache_before = self.dcache.stats();
-        let out = self.core.execute(
-            CoreEnv {
-                config: &self.config,
-                regs: &mut self.regs,
-                carry: &mut self.carry,
-                mem: &mut self.mem,
-                uregs: &mut self.uregs,
-                ext: &self.ext,
-                icache: &mut self.icache,
-                dcache: &mut self.dcache,
-                cycles: &mut self.cycles,
-                reg_ready: &mut self.reg_ready,
-                fuel: self.fuel,
-                fault: &mut self.fault,
-            },
-            program,
-            entry,
-            entry_name,
-            sink,
-        )?;
-        self.retired += out.executed;
-        Ok(self.summarize(
-            start_cycles,
-            icache_before,
-            dcache_before,
-            out.executed,
-            out.classes,
-        ))
-    }
-
-    /// Runs `program` on the pre-decoded functional engine, decoding
-    /// (and caching the decode of) the program on first sight. Timing
-    /// state — cycle counter, caches, ready times — is untouched, so a
-    /// later cycle-accurate run on the same core is unaffected.
-    fn execute_fast(&mut self, program: &Program, entry: usize) -> Result<RunSummary, SimError> {
         let fp = program.fingerprint();
-        let decoded = match self.fast_cache.iter().find(|(key, _)| *key == fp) {
-            Some((_, d)) => Arc::clone(d),
+        let slot = match self.handlers.iter().position(|(key, _)| *key == fp) {
+            Some(slot) => slot,
             None => {
-                let d = Arc::new(FastProgram::decode(program, &self.config, &self.ext));
-                self.fast_cache.push((fp, Arc::clone(&d)));
-                d
+                self.handlers.push((fp, Handlers::new(program, &self.ext)));
+                self.handlers.len() - 1
             }
         };
-        let out = xjit::run(
-            &decoded,
-            entry,
-            &mut self.regs,
-            &mut self.carry,
-            &mut self.mem,
-            &mut self.uregs,
-            self.fuel,
-        )?;
+        let run = Run {
+            program,
+            handlers: &self.handlers[slot].1,
+            config: &self.config,
+            fuel: self.fuel,
+        };
+        if self.fidelity == Fidelity::Fast && self.arch.fault.is_none() {
+            // Untimed: the clock, caches and ready times are untouched,
+            // so a later cycle-accurate run on the same core is
+            // unaffected; trace sinks see nothing (there are no cycles
+            // to attribute).
+            let out = run.exec(&mut self.arch, &mut Untimed, entry, entry_name, None)?;
+            self.retired += out.executed;
+            return Ok(RunSummary {
+                cycles: 0,
+                instructions: out.executed,
+                classes: out.classes,
+                icache: CacheStats::default(),
+                dcache: CacheStats::default(),
+            });
+        }
+        let clock = self.core.clock();
+        let (start, ic, dc) = (clock.cycles, clock.icache.stats(), clock.dcache.stats());
+        let out = match &mut self.core {
+            Core::InOrder(m) => run.exec(&mut self.arch, &mut **m, entry, entry_name, sink),
+            Core::OutOfOrder(m) => run.exec(&mut self.arch, &mut **m, entry, entry_name, sink),
+        }?;
         self.retired += out.executed;
+        let clock = self.core.clock();
+        let delta = |after: CacheStats, before: CacheStats| CacheStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+        };
         Ok(RunSummary {
-            cycles: 0,
+            cycles: clock.cycles - start,
             instructions: out.executed,
             classes: out.classes,
-            icache: CacheStats::default(),
-            dcache: CacheStats::default(),
+            icache: delta(clock.icache.stats(), ic),
+            dcache: delta(clock.dcache.stats(), dc),
         })
-    }
-
-    fn summarize(
-        &self,
-        start_cycles: u64,
-        icache_before: CacheStats,
-        dcache_before: CacheStats,
-        executed: u64,
-        classes: ClassCounts,
-    ) -> RunSummary {
-        let cycles = self.cycles - start_cycles;
-        let ic = self.icache.stats();
-        let dc = self.dcache.stats();
-        RunSummary {
-            cycles,
-            instructions: executed,
-            classes,
-            icache: CacheStats {
-                hits: ic.hits - icache_before.hits,
-                misses: ic.misses - icache_before.misses,
-            },
-            dcache: CacheStats {
-                hits: dc.hits - dcache_before.hits,
-                misses: dc.misses - dcache_before.misses,
-            },
-        }
     }
 }
 

@@ -37,8 +37,11 @@ impl Reg {
     }
 
     /// The register's index (0–15).
+    #[inline(always)]
     pub fn index(self) -> usize {
-        self.0 as usize
+        // The mask is a no-op on a valid register; it lets the
+        // compiler drop the bounds check on a 16-entry register file.
+        (self.0 & 15) as usize
     }
 }
 
@@ -199,8 +202,25 @@ pub enum Insn {
     Nop,
     /// Stop simulation.
     Halt,
-    /// A designer-defined custom instruction.
-    Custom(CustomOp),
+    /// A designer-defined custom instruction. Boxed so the common
+    /// fixed forms keep `Insn` at 16 bytes.
+    Custom(Box<CustomOp>),
+}
+
+/// Instruction classes, as counted in
+/// [`ClassCounts`](crate::cpu::ClassCounts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InsnClass {
+    /// ALU and move instructions (also `clc`, `nop`, `halt`).
+    Alu,
+    /// Loads and stores.
+    Mem,
+    /// Branches, jumps, calls, returns.
+    Control,
+    /// Hardware multiplies.
+    Mul,
+    /// Custom (TIE) instructions.
+    Custom,
 }
 
 /// The general registers an instruction reads, as returned by
@@ -332,6 +352,19 @@ impl fmt::Display for Insn {
 }
 
 impl Insn {
+    /// The instruction's class.
+    pub fn class(&self) -> InsnClass {
+        use Insn::*;
+        match self {
+            Lw(..) | Sw(..) | Lbu(..) | Sb(..) | Lhu(..) | Sh(..) => InsnClass::Mem,
+            Beq(..) | Bne(..) | Bltu(..) | Bgeu(..) | Blt(..) | Bge(..) | J(_) | Call(_) | Ret
+            | Jr(_) => InsnClass::Control,
+            Mul(..) | Mulhu(..) => InsnClass::Mul,
+            Custom(_) => InsnClass::Custom,
+            _ => InsnClass::Alu,
+        }
+    }
+
     /// General registers read by this instruction (for the load-use
     /// interlock model and the static analyses). Custom instructions
     /// conservatively read all their register operands.
@@ -530,6 +563,21 @@ mod tests {
     fn call_writes_ra_ret_reads_ra() {
         assert_eq!(Insn::Call(0).dest(), Some(Reg::RA));
         assert_eq!(*Insn::Ret.sources(), [Reg::RA]);
+    }
+
+    #[test]
+    fn insn_is_sixteen_bytes() {
+        assert_eq!(core::mem::size_of::<Insn>(), 16);
+    }
+
+    #[test]
+    fn classes_cover_each_kind() {
+        let r = Reg::new(1);
+        assert_eq!(Insn::Add(r, r, r).class(), InsnClass::Alu);
+        assert_eq!(Insn::Halt.class(), InsnClass::Alu);
+        assert_eq!(Insn::Sh(r, r, 0).class(), InsnClass::Mem);
+        assert_eq!(Insn::Jr(r).class(), InsnClass::Control);
+        assert_eq!(Insn::Mulhu(r, r, r).class(), InsnClass::Mul);
     }
 
     #[test]

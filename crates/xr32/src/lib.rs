@@ -8,12 +8,12 @@
 //! - a **32-bit RISC base ISA** (16 general registers, load/store,
 //!   single-cycle ALU, optional hardware multiplier) — see [`isa`];
 //! - a **two-pass assembler** for writing library kernels — see [`asm`];
-//! - **pluggable cycle-accurate core models** behind one pipeline seam:
-//!   the in-order baseline (load-use interlocks, branch penalty) and a
-//!   scoreboarded out-of-order family (ROB, renaming, reservation
-//!   stations, load-store queue, 2-bit branch predictor), both over
-//!   I/D caches with configurable geometry — see [`xcore`], [`cpu`]
-//!   and [`cache`];
+//! - **two cycle-accurate core models** as timing models over one
+//!   instruction step ([`exec`]): the in-order baseline (load-use
+//!   interlocks, branch penalty) and a scoreboarded out-of-order family
+//!   (ROB, renaming, reservation stations, load-store queue, 2-bit
+//!   branch predictor), both over I/D caches with configurable
+//!   geometry — see [`xcore`], [`cpu`] and [`cache`];
 //! - a **TIE-like extension interface**: designer-specified custom
 //!   instructions with semantics, latency, and a structural gate-count
 //!   area model, plus wide *user registers* and custom load/stores — see
@@ -26,8 +26,8 @@
 //! - **call-tree cycle attribution** producing the annotated call graphs
 //!   the paper's global custom-instruction selection consumes — attach an
 //!   `xobs::Attribution` sink to any traced run;
-//! - a **dual-fidelity execution choice**: the cycle-accurate pipeline
-//!   above for measurement, or a pre-decoded functional fast path for
+//! - a **dual-fidelity execution choice**: the cycle-accurate models
+//!   above for measurement, or the same step untimed for
 //!   golden-reference checks and stimulus triage — see [`xjit`] and
 //!   [`Cpu::set_fidelity`](cpu::Cpu::set_fidelity).
 //!
@@ -59,6 +59,7 @@ pub mod cache;
 pub mod config;
 pub mod cpu;
 pub mod energy;
+pub mod exec;
 pub mod ext;
 pub mod isa;
 pub mod mem;
@@ -69,6 +70,6 @@ pub use asm::{assemble, AssembleError, Program};
 pub use config::{CacheConfig, CpuConfig};
 pub use cpu::{Cpu, RunSummary, SimError};
 pub use ext::{CustomInsnDef, ExtensionSet};
-pub use isa::{Insn, Reg, Sources};
-pub use xcore::{CoreKind, CoreModel, CoreSpec, OooParams};
+pub use isa::{Insn, InsnClass, Reg, Sources};
+pub use xcore::{CoreSpec, OooParams};
 pub use xjit::Fidelity;

@@ -1,61 +1,45 @@
-//! Pluggable core microarchitecture models.
+//! The cycle-accurate timing models.
 //!
-//! [`Cpu`](crate::cpu::Cpu) owns the architectural state (registers,
-//! carry flag, memory, user registers, caches) and delegates the
-//! *pipeline* — decode/issue/retire timing, trace-event emission, and
-//! the fault-plan hook points — to a [`CoreModel`]. Two models ship:
+//! [`Cpu`](crate::cpu::Cpu) executes every instruction through the one
+//! shared step in [`crate::exec`]; a timing model only charges cycles
+//! around it. Two cycle-accurate models ship, over the same I/D caches:
 //!
-//! - [`InOrderCore`]: the original single-issue in-order 5-stage
-//!   pipeline abstraction (per-register ready-time interlocks, taken
-//!   branches pay the refill penalty, loads incur a load-use delay);
-//! - [`OooCore`]: a scoreboarded out-of-order family (reorder buffer,
+//! - [`inorder`]: the single-issue in-order 5-stage pipeline
+//!   abstraction (per-register ready-time interlocks, taken branches
+//!   pay the refill penalty, loads incur a load-use delay);
+//! - [`ooo`]: a scoreboarded out-of-order family (reorder buffer,
 //!   register renaming, reservation stations, a load-store queue and a
 //!   2-bit branch predictor, all width-parameterized by
 //!   [`OooParams`]).
 //!
-//! Both models run the **same functional semantics in program order**
-//! — every instruction's architectural effects, fault-plan
-//! consultations and error paths are identical — so the final
-//! architectural state is bit-identical across core models (and the
-//! pre-decoded [`crate::xjit`] fast path). Only the *cycle* accounting
-//! differs: the in-order core charges a single global clock as it
-//! goes, while the out-of-order core books each instruction through a
-//! dataflow scoreboard and reports the in-order *commit* time of the
-//! last instruction. This is what makes cross-core co-simulation (the
-//! `xooo_gate` CI bin) a pure equality check.
+//! The third engine, the fast path in [`crate::xjit`], is the same
+//! driver with no timing at all. Because every engine runs the same
+//! step in program order, the final architectural state is
+//! bit-identical across them by construction; only the *cycle*
+//! accounting differs: the in-order core charges a single global clock
+//! as it goes, while the out-of-order core books each instruction
+//! through a dataflow scoreboard and reports the in-order *commit* time
+//! of the last instruction. This is what makes cross-core
+//! co-simulation (the `engine_gate` CI bin) a pure equality check.
 //!
-//! Which model a [`Cpu`](crate::cpu::Cpu) builds is selected by
-//! [`CoreSpec`] on [`CpuConfig`](crate::config::CpuConfig); the spec's
-//! [`id()`](CoreSpec::id) string (`"io"`, `"ooo-…"`) is the
-//! *CoreConfigId* stamped into cache keys, measurement-unit names,
-//! span attributes and run reports by the layers above.
+//! Which model a [`Cpu`](crate::cpu::Cpu) runs is selected by
+//! [`CoreSpec`] on [`CpuConfig`]; the spec's [`id()`](CoreSpec::id)
+//! string (`"io"`, `"ooo-…"`) is the *CoreConfigId* stamped into cache
+//! keys, measurement-unit names, span attributes and run reports by the
+//! layers above.
 
 pub mod inorder;
 pub mod ooo;
 
-pub use inorder::InOrderCore;
-pub use ooo::{OooCore, OooParams};
+pub use ooo::OooParams;
 
-use crate::asm::Program;
 use crate::cache::Cache;
 use crate::config::CpuConfig;
-use crate::cpu::{ClassCounts, SimError};
-use crate::ext::{ExtensionSet, UserRegFile};
-use crate::mem::Memory;
-use xfault::FaultPlan;
-use xobs::trace::{CacheSide, TraceSink};
-
-/// Which microarchitecture family a core model implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreKind {
-    /// Single-issue in-order pipeline (the paper's baseline).
-    InOrder,
-    /// Scoreboarded out-of-order pipeline.
-    OutOfOrder,
-}
+use inorder::InOrder;
+use ooo::OutOfOrder;
 
 /// Core microarchitecture selection, carried by
-/// [`CpuConfig`](crate::config::CpuConfig).
+/// [`CpuConfig`].
 ///
 /// The spec is part of a configuration's identity: it is mixed into
 /// [`CpuConfig::fingerprint`](crate::config::CpuConfig::fingerprint)
@@ -72,14 +56,6 @@ pub enum CoreSpec {
 }
 
 impl CoreSpec {
-    /// The microarchitecture family this spec selects.
-    pub fn kind(&self) -> CoreKind {
-        match self {
-            CoreSpec::InOrder => CoreKind::InOrder,
-            CoreSpec::OutOfOrder(_) => CoreKind::OutOfOrder,
-        }
-    }
-
     /// The short core-configuration identifier (*CoreConfigId*) used in
     /// cache keys, measurement-unit names, span attributes and report
     /// fields: `"io"` for the in-order core, `"ooo-…"` (widths
@@ -126,110 +102,74 @@ impl CoreSpec {
             predictor_entries: pred.parse().ok()?,
         }))
     }
+}
 
-    /// Builds the executable model for this spec.
-    pub fn build(&self) -> Box<dyn CoreModel + Send> {
-        match self {
-            CoreSpec::InOrder => Box::new(InOrderCore),
-            CoreSpec::OutOfOrder(p) => Box::new(OooCore::new(*p)),
+/// Timing state every cycle-accurate model keeps across runs on one
+/// core, with the latencies it charges.
+pub(crate) struct Clock {
+    pub icache: Cache,
+    pub dcache: Cache,
+    /// The global cycle counter (monotone across runs on one core).
+    pub cycles: u64,
+    /// Per-register result-ready times: the in-order interlock table,
+    /// or the out-of-order rename table's completion times.
+    pub reg_ready: [u64; 16],
+    pub mem_latency: u32,
+    pub branch_penalty: u32,
+    pub mul_latency: u32,
+}
+
+impl Clock {
+    fn new(config: &CpuConfig) -> Self {
+        Clock {
+            icache: Cache::new(config.icache),
+            dcache: Cache::new(config.dcache),
+            cycles: 0,
+            reg_ready: [0; 16],
+            mem_latency: config.mem_latency,
+            branch_penalty: config.branch_penalty,
+            mul_latency: config.mul_latency,
         }
+    }
+
+    fn reset(&mut self) {
+        self.icache.reset();
+        self.dcache.reset();
+        self.cycles = 0;
+        self.reg_ready = [0; 16];
     }
 }
 
-/// Everything a core model needs from the owning
-/// [`Cpu`](crate::cpu::Cpu), as disjoint borrows so the model can hold
-/// them simultaneously.
-pub struct CoreEnv<'a> {
-    /// The core configuration (latencies, cache geometry, options).
-    pub config: &'a CpuConfig,
-    /// General registers.
-    pub regs: &'a mut [u32; 16],
-    /// The carry flag.
-    pub carry: &'a mut bool,
-    /// Data memory.
-    pub mem: &'a mut Memory,
-    /// Wide user registers (custom-instruction state).
-    pub uregs: &'a mut UserRegFile,
-    /// Registered custom instructions.
-    pub ext: &'a ExtensionSet,
-    /// The instruction cache.
-    pub icache: &'a mut Cache,
-    /// The data cache.
-    pub dcache: &'a mut Cache,
-    /// The global cycle counter (monotone across runs on one core).
-    pub cycles: &'a mut u64,
-    /// Per-register result-ready times (RAW interlock/completion
-    /// table; persists across runs like the cycle counter).
-    pub reg_ready: &'a mut [u64; 16],
-    /// Maximum instructions this run may execute.
-    pub fuel: u64,
-    /// The armed fault-injection plan, if any.
-    pub fault: &'a mut Option<FaultPlan>,
+/// The cycle-accurate model a core runs: the closed set [`CoreSpec`]
+/// selects from.
+pub(crate) enum Core {
+    InOrder(Box<InOrder>),
+    OutOfOrder(Box<OutOfOrder>),
 }
 
-/// What a core model reports back from one run (the `Cpu` wraps this
-/// into a [`RunSummary`](crate::cpu::RunSummary) with cache-stat
-/// deltas).
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOutcome {
-    /// Instructions executed (= retired: both models commit in order).
-    pub executed: u64,
-    /// Executed instructions by class.
-    pub classes: ClassCounts,
-}
-
-/// A pluggable pipeline model: executes a program on borrowed
-/// architectural state, charging cycles according to its own
-/// microarchitecture while keeping functional semantics, trace-sink
-/// events and fault-plan hook points contract-identical.
-pub trait CoreModel {
-    /// The model's microarchitecture family.
-    fn kind(&self) -> CoreKind;
-
-    /// Runs `program` from `entry` until halt or a sentinel return.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on faults or fuel exhaustion, exactly as
-    /// the monolithic `Cpu` did.
-    fn execute(
-        &mut self,
-        env: CoreEnv<'_>,
-        program: &Program,
-        entry: usize,
-        entry_name: &str,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<ExecOutcome, SimError>;
-
-    /// Clears model-internal timing state (e.g. branch-predictor
-    /// counters). Architectural and cache state is reset by the `Cpu`.
-    fn reset_timing(&mut self) {}
-}
-
-/// One cache access on the hot path: the untraced branch is the
-/// original two-line hit test, the traced branch delegates to
-/// [`Cache::access_traced`]. Takes fields, not a context struct, so
-/// callers can hold disjoint borrows.
-pub(crate) fn cache_access(
-    cache: &mut Cache,
-    addr: u64,
-    side: CacheSide,
-    cycles: &mut u64,
-    miss_latency: u32,
-    sink: &mut Option<&mut (dyn TraceSink + '_)>,
-) -> bool {
-    match sink {
-        None => {
-            let hit = cache.access(addr);
-            if !hit {
-                *cycles += miss_latency as u64;
-            }
-            hit
+impl Core {
+    /// The model `config.core` selects, with a cold clock.
+    pub(crate) fn new(config: &CpuConfig) -> Self {
+        let clock = Clock::new(config);
+        match config.core {
+            CoreSpec::InOrder => Core::InOrder(Box::new(InOrder { clock })),
+            CoreSpec::OutOfOrder(p) => Core::OutOfOrder(Box::new(OutOfOrder::new(p, clock))),
         }
-        Some(s) => {
-            let (hit, after) = cache.access_traced(addr, side, *cycles, miss_latency, &mut **s);
-            *cycles = after;
-            hit
+    }
+
+    pub(crate) fn clock(&self) -> &Clock {
+        match self {
+            Core::InOrder(m) => &m.clock,
+            Core::OutOfOrder(m) => &m.clock,
+        }
+    }
+
+    /// Clears the clock, the caches and model-internal timing state
+    /// such as branch-predictor counters.
+    pub(crate) fn reset(&mut self) {
+        match self {
+            Core::InOrder(m) => m.clock.reset(),
+            Core::OutOfOrder(m) => m.reset(),
         }
     }
 }
@@ -282,6 +222,5 @@ mod tests {
     #[test]
     fn default_spec_is_in_order() {
         assert_eq!(CoreSpec::default(), CoreSpec::InOrder);
-        assert_eq!(CoreSpec::default().kind(), CoreKind::InOrder);
     }
 }

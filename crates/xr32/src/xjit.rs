@@ -1,670 +1,81 @@
-//! xjit: the functional fast-execution engine (dual-fidelity ISS).
+//! xjit: the functional fast path (dual-fidelity ISS).
 //!
-//! The cycle-accurate interpreter in [`crate::cpu`] re-decodes every
-//! instruction on every step and pays for pipeline bookkeeping
-//! (interlocks, cache simulation, trace hooks) that pure-correctness
-//! consumers — golden-reference sweeps, divergence verification,
-//! variant admission gates, recovery-proof replays — never read. This
-//! module pre-decodes a [`crate::asm::Program`] once into a basic-block
-//! cache of resolved micro-ops:
+//! The fast path runs the same driver and the same instruction step as
+//! the cycle-accurate cores ([`crate::exec`]) with `Untimed`, a
+//! timing model whose hooks are empty: no interlocks, no cache
+//! simulation, no trace events. What it still reuses per program is
+//! what every engine reuses: the assembler's basic-block ends (one pc
+//! range check per block) and the custom-instruction handlers the core
+//! resolves once per program. Registers, carry, memory, user registers,
+//! the retired-instruction count, class counts and errors are
+//! bit-identical to the cycle-accurate engines; cycles and cache
+//! statistics report as zero.
 //!
-//! - immediates folded to `u32` operands,
-//! - register operands narrowed to raw indices,
-//! - custom-instruction handlers resolved to their [`CustomFn`] at
-//!   decode time (no per-step `BTreeMap` lookup),
-//! - branch targets linked, and blocks tiling the program contiguously
-//!   so *any* entry pc (labels, `jr`/`ret` targets) maps to a block
-//!   suffix,
-//!
-//! and executes them with threaded dispatch over straight-line block
-//! slices — architectural state only: registers, carry, memory, user
-//! registers and the retired-instruction count are bit-identical to
-//! the cycle-accurate engine; cycles, cache statistics and pipeline
-//! stalls are not modeled and report as zero.
-//!
-//! Select the engine per-core with [`crate::cpu::Cpu::set_fidelity`];
+//! Select the engine per core with [`crate::cpu::Cpu::set_fidelity`];
 //! the default everywhere is [`Fidelity::CycleAccurate`] so cycle
 //! measurements can never silently land on the fast path.
 
-use crate::asm::Program;
-use crate::config::CpuConfig;
-use crate::cpu::{ClassCounts, SimError, RETURN_SENTINEL};
-use crate::ext::{CustomFn, ExecCtx, ExtensionSet, UserRegFile};
-use crate::isa::{CustomOp, Insn};
-use crate::mem::Memory;
+use crate::exec::{Retired, Sink, Timing};
+use crate::isa::Insn;
 
 /// Which execution engine a [`crate::cpu::Cpu`] run uses.
 ///
-/// `CycleAccurate` is the default: the in-order pipeline model with
-/// caches, interlocks and fault hooks — the only engine cycle
-/// measurements may come from. `Fast` is the pre-decoded functional
-/// engine in [`crate::xjit`]: identical architectural results, no
-/// timing (summaries report zero cycles), trace sinks are not invoked,
-/// and an armed fault plan forces a silent fallback to the
-/// cycle-accurate engine (fault sites live in the pipeline model).
+/// `CycleAccurate` is the default: the core's timing model
+/// ([`CoreSpec`](crate::xcore::CoreSpec) selects in-order or
+/// out-of-order) with caches, interlocks and fault hooks — the only
+/// engine cycle measurements may come from. `Fast` skips timing
+/// altogether: identical architectural results, summaries report zero
+/// cycles, trace sinks are not invoked, and an armed fault plan forces
+/// a silent fallback to the cycle-accurate engine (the cache-tag fault
+/// needs a cache to corrupt).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Fidelity {
-    /// Full pipeline/cache timing model (the measurement engine).
+    /// The core's cycle-accurate timing model (the measurement engine).
     #[default]
     CycleAccurate,
-    /// Pre-decoded functional execution (architectural state only).
+    /// Functional execution (architectural state only).
     Fast,
 }
 
-/// One resolved micro-op. Register operands are raw indices, immediates
-/// are pre-folded to the `u32` the ALU consumes, memory/custom ops
-/// carry their original instruction index for error reporting.
-enum FastOp {
-    Add(u8, u8, u8),
-    Addc(u8, u8, u8),
-    Sub(u8, u8, u8),
-    Subc(u8, u8, u8),
-    And(u8, u8, u8),
-    Or(u8, u8, u8),
-    Xor(u8, u8, u8),
-    Sll(u8, u8, u8),
-    Srl(u8, u8, u8),
-    Sra(u8, u8, u8),
-    Sltu(u8, u8, u8),
-    Slt(u8, u8, u8),
-    Mul(u8, u8, u8),
-    Mulhu(u8, u8, u8),
-    /// `mul`/`mulhu` decoded on a core without the multiplier option:
-    /// only an error if actually executed, like the accurate engine.
-    MulIllegal {
-        pc: u32,
-    },
-    Addi(u8, u8, u32),
-    Andi(u8, u8, u32),
-    Ori(u8, u8, u32),
-    Xori(u8, u8, u32),
-    Slli(u8, u8, u32),
-    Srli(u8, u8, u32),
-    Srai(u8, u8, u32),
-    Movi(u8, u32),
-    Mov(u8, u8),
-    Lw {
-        d: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Lbu {
-        d: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Lhu {
-        d: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Sw {
-        v: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Sb {
-        v: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Sh {
-        v: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Beq {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bne {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bltu {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bgeu {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Blt {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bge {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    J(u32),
-    Call {
-        t: u32,
-        link: u32,
-    },
-    Jr(u8),
-    Ret,
-    Clc,
-    Nop,
-    Halt,
-    /// Custom instruction with its handler resolved at decode time.
-    Custom {
-        exec: CustomFn,
-        op: Box<CustomOp>,
-        pc: u32,
-    },
-    /// Custom instruction whose name was unknown at decode time: only
-    /// an error if actually executed (matching the accurate engine's
-    /// lazy lookup semantics).
-    CustomUnknown {
-        name: Box<str>,
-        pc: u32,
-    },
-}
+/// The fast path's timing model: every hook is empty.
+pub(crate) struct Untimed;
 
-/// Instruction-class tags for the parallel `cls` array (indices into
-/// the run's `[u64; 5]` class counters).
-const CLS_ALU: u8 = 0;
-const CLS_MEM: u8 = 1;
-const CLS_CTL: u8 = 2;
-const CLS_MUL: u8 = 3;
-const CLS_CUST: u8 = 4;
+impl Timing for Untimed {
+    const TIMED: bool = false;
 
-/// A pre-decoded program: micro-ops 1:1 with the source instructions,
-/// tiled into basic blocks. `block_end[pc]` is the exclusive end of the
-/// straight-line slice containing `pc`, so execution enters a block at
-/// any offset (computed `jr`/`ret` targets included) and runs without
-/// per-step control checks until the block boundary.
-pub(crate) struct FastProgram {
-    ops: Vec<FastOp>,
-    /// Class tag per op (parallel to `ops`).
-    cls: Vec<u8>,
-    /// Exclusive end of the basic block containing each pc.
-    block_end: Vec<u32>,
-}
-
-/// Architectural outcome of a fast run (no timing fields).
-pub(crate) struct FastRun {
-    pub executed: u64,
-    pub classes: ClassCounts,
-}
-
-impl FastProgram {
-    /// Pre-decodes `program` for the given core configuration and
-    /// extension set. Decode never fails: configuration errors (missing
-    /// multiplier, unknown custom name) become error-on-execute ops so
-    /// semantics match the accurate engine's lazy checks exactly.
-    pub(crate) fn decode(program: &Program, config: &CpuConfig, ext: &ExtensionSet) -> Self {
-        let insns = program.insns();
-        let n = insns.len();
-        let mut ops = Vec::with_capacity(n);
-        let mut cls = Vec::with_capacity(n);
-        for (pc, insn) in insns.iter().enumerate() {
-            let r = |r: &crate::isa::Reg| r.index() as u8;
-            let pc32 = pc as u32;
-            let (op, class) = match insn {
-                Insn::Add(d, a, b) => (FastOp::Add(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Addc(d, a, b) => (FastOp::Addc(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sub(d, a, b) => (FastOp::Sub(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Subc(d, a, b) => (FastOp::Subc(r(d), r(a), r(b)), CLS_ALU),
-                Insn::And(d, a, b) => (FastOp::And(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Or(d, a, b) => (FastOp::Or(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Xor(d, a, b) => (FastOp::Xor(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sll(d, a, b) => (FastOp::Sll(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Srl(d, a, b) => (FastOp::Srl(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sra(d, a, b) => (FastOp::Sra(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sltu(d, a, b) => (FastOp::Sltu(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Slt(d, a, b) => (FastOp::Slt(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Mul(d, a, b) if config.has_mul => (FastOp::Mul(r(d), r(a), r(b)), CLS_MUL),
-                Insn::Mulhu(d, a, b) if config.has_mul => {
-                    (FastOp::Mulhu(r(d), r(a), r(b)), CLS_MUL)
-                }
-                Insn::Mul(..) | Insn::Mulhu(..) => (FastOp::MulIllegal { pc: pc32 }, CLS_MUL),
-                Insn::Addi(d, a, imm) => (FastOp::Addi(r(d), r(a), *imm as u32), CLS_ALU),
-                Insn::Andi(d, a, imm) => (FastOp::Andi(r(d), r(a), *imm), CLS_ALU),
-                Insn::Ori(d, a, imm) => (FastOp::Ori(r(d), r(a), *imm), CLS_ALU),
-                Insn::Xori(d, a, imm) => (FastOp::Xori(r(d), r(a), *imm), CLS_ALU),
-                Insn::Slli(d, a, sh) => (FastOp::Slli(r(d), r(a), *sh), CLS_ALU),
-                Insn::Srli(d, a, sh) => (FastOp::Srli(r(d), r(a), *sh), CLS_ALU),
-                Insn::Srai(d, a, sh) => (FastOp::Srai(r(d), r(a), *sh), CLS_ALU),
-                Insn::Movi(d, imm) => (FastOp::Movi(r(d), *imm as u32), CLS_ALU),
-                Insn::Mov(d, a) => (FastOp::Mov(r(d), r(a)), CLS_ALU),
-                Insn::Lw(d, base, off) => (
-                    FastOp::Lw {
-                        d: r(d),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Lbu(d, base, off) => (
-                    FastOp::Lbu {
-                        d: r(d),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Lhu(d, base, off) => (
-                    FastOp::Lhu {
-                        d: r(d),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Sw(v, base, off) => (
-                    FastOp::Sw {
-                        v: r(v),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Sb(v, base, off) => (
-                    FastOp::Sb {
-                        v: r(v),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Sh(v, base, off) => (
-                    FastOp::Sh {
-                        v: r(v),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Beq(a, b, t) => (
-                    FastOp::Beq {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bne(a, b, t) => (
-                    FastOp::Bne {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bltu(a, b, t) => (
-                    FastOp::Bltu {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bgeu(a, b, t) => (
-                    FastOp::Bgeu {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Blt(a, b, t) => (
-                    FastOp::Blt {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bge(a, b, t) => (
-                    FastOp::Bge {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::J(t) => (FastOp::J(*t as u32), CLS_CTL),
-                Insn::Call(t) => (
-                    FastOp::Call {
-                        t: *t as u32,
-                        link: pc32 + 1,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Jr(a) => (FastOp::Jr(r(a)), CLS_CTL),
-                Insn::Ret => (FastOp::Ret, CLS_CTL),
-                Insn::Clc => (FastOp::Clc, CLS_ALU),
-                Insn::Nop => (FastOp::Nop, CLS_ALU),
-                Insn::Halt => (FastOp::Halt, CLS_ALU),
-                Insn::Custom(op) => match ext.get(&op.name) {
-                    Some(def) => (
-                        FastOp::Custom {
-                            exec: def.exec.clone(),
-                            op: Box::new(op.clone()),
-                            pc: pc32,
-                        },
-                        CLS_CUST,
-                    ),
-                    None => (
-                        FastOp::CustomUnknown {
-                            name: op.name.clone().into_boxed_str(),
-                            pc: pc32,
-                        },
-                        CLS_CUST,
-                    ),
-                },
-            };
-            ops.push(op);
-            cls.push(class);
-        }
-
-        // Basic-block leaders: pc 0, every label, every branch target,
-        // and the instruction after every block-ending op. Blocks tile
-        // the program contiguously, so `block_end` is total over pcs.
-        let mut leader = vec![false; n + 1];
-        if n > 0 {
-            leader[0] = true;
-        }
-        leader[n] = true;
-        for &at in program.labels().values() {
-            if at <= n {
-                leader[at] = true;
-            }
-        }
-        for (pc, insn) in insns.iter().enumerate() {
-            if let Some(t) = insn.branch_target() {
-                if t <= n {
-                    leader[t] = true;
-                }
-            }
-            if insn.ends_block() {
-                leader[pc + 1] = true;
-            }
-        }
-        let mut block_end = vec![0u32; n];
-        let mut end = n as u32;
-        for pc in (0..n).rev() {
-            if leader[pc + 1] {
-                end = (pc + 1) as u32;
-            }
-            block_end[pc] = end;
-        }
-
-        FastProgram {
-            ops,
-            cls,
-            block_end,
-        }
-    }
-}
-
-/// Executes a pre-decoded program on the given architectural state.
-/// Mirrors the cycle-accurate engine's observable semantics exactly
-/// (same results, same errors including the `executed` count at fuel
-/// exhaustion, same class counts) while modeling no timing.
-pub(crate) fn run(
-    prog: &FastProgram,
-    entry: usize,
-    regs: &mut [u32; 16],
-    carry: &mut bool,
-    mem: &mut Memory,
-    uregs: &mut UserRegFile,
-    fuel: u64,
-) -> Result<FastRun, SimError> {
-    const RA: usize = 15;
-    let mut executed: u64 = 0;
-    let mut counts = [0u64; 5];
-    let mut pc = entry;
-    let ops = &prog.ops[..];
-    let cls = &prog.cls[..];
-
-    'outer: loop {
-        if pc == RETURN_SENTINEL as usize {
-            break; // clean return from a `call`
-        }
-        let end = match prog.block_end.get(pc) {
-            Some(&e) => e as usize,
-            None => return Err(SimError::PcOutOfRange { pc }),
-        };
-        let mut i = pc;
-        while i < end {
-            if executed >= fuel {
-                return Err(SimError::OutOfFuel { executed });
-            }
-            executed += 1;
-            counts[cls[i] as usize] += 1;
-            macro_rules! rr {
-                ($r:expr) => {
-                    regs[$r as usize]
-                };
-            }
-            match &ops[i] {
-                FastOp::Add(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_add(rr!(*b)),
-                FastOp::Addc(d, a, b) => {
-                    let t = rr!(*a) as u64 + rr!(*b) as u64 + *carry as u64;
-                    regs[*d as usize] = t as u32;
-                    *carry = t >> 32 != 0;
-                }
-                FastOp::Sub(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_sub(rr!(*b)),
-                FastOp::Subc(d, a, b) => {
-                    let t = (rr!(*a) as u64)
-                        .wrapping_sub(rr!(*b) as u64)
-                        .wrapping_sub(*carry as u64);
-                    regs[*d as usize] = t as u32;
-                    *carry = t >> 32 != 0;
-                }
-                FastOp::And(d, a, b) => regs[*d as usize] = rr!(*a) & rr!(*b),
-                FastOp::Or(d, a, b) => regs[*d as usize] = rr!(*a) | rr!(*b),
-                FastOp::Xor(d, a, b) => regs[*d as usize] = rr!(*a) ^ rr!(*b),
-                FastOp::Sll(d, a, b) => regs[*d as usize] = rr!(*a) << (rr!(*b) & 31),
-                FastOp::Srl(d, a, b) => regs[*d as usize] = rr!(*a) >> (rr!(*b) & 31),
-                FastOp::Sra(d, a, b) => {
-                    regs[*d as usize] = ((rr!(*a) as i32) >> (rr!(*b) & 31)) as u32
-                }
-                FastOp::Sltu(d, a, b) => regs[*d as usize] = (rr!(*a) < rr!(*b)) as u32,
-                FastOp::Slt(d, a, b) => {
-                    regs[*d as usize] = ((rr!(*a) as i32) < (rr!(*b) as i32)) as u32
-                }
-                FastOp::Mul(d, a, b) => {
-                    regs[*d as usize] = (rr!(*a) as u64 * rr!(*b) as u64) as u32
-                }
-                FastOp::Mulhu(d, a, b) => {
-                    regs[*d as usize] = ((rr!(*a) as u64 * rr!(*b) as u64) >> 32) as u32
-                }
-                FastOp::MulIllegal { pc } => {
-                    return Err(SimError::Illegal {
-                        pc: *pc as usize,
-                        reason: "mul requires the hardware-multiplier option".into(),
-                    });
-                }
-                FastOp::Addi(d, a, imm) => regs[*d as usize] = rr!(*a).wrapping_add(*imm),
-                FastOp::Andi(d, a, imm) => regs[*d as usize] = rr!(*a) & imm,
-                FastOp::Ori(d, a, imm) => regs[*d as usize] = rr!(*a) | imm,
-                FastOp::Xori(d, a, imm) => regs[*d as usize] = rr!(*a) ^ imm,
-                FastOp::Slli(d, a, sh) => regs[*d as usize] = rr!(*a) << sh,
-                FastOp::Srli(d, a, sh) => regs[*d as usize] = rr!(*a) >> sh,
-                FastOp::Srai(d, a, sh) => regs[*d as usize] = ((rr!(*a) as i32) >> sh) as u32,
-                FastOp::Movi(d, imm) => regs[*d as usize] = *imm,
-                FastOp::Mov(d, a) => regs[*d as usize] = rr!(*a),
-                FastOp::Lw { d, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    regs[*d as usize] = mem.load_u32(addr).map_err(|source| SimError::Mem {
-                        pc: *pc as usize,
-                        source,
-                    })?;
-                }
-                FastOp::Lbu { d, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    regs[*d as usize] =
-                        mem.load_u8(addr)
-                            .map(u32::from)
-                            .map_err(|source| SimError::Mem {
-                                pc: *pc as usize,
-                                source,
-                            })?;
-                }
-                FastOp::Lhu { d, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    regs[*d as usize] =
-                        mem.load_u16(addr)
-                            .map(u32::from)
-                            .map_err(|source| SimError::Mem {
-                                pc: *pc as usize,
-                                source,
-                            })?;
-                }
-                FastOp::Sw { v, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    mem.store_u32(addr, rr!(*v))
-                        .map_err(|source| SimError::Mem {
-                            pc: *pc as usize,
-                            source,
-                        })?;
-                }
-                FastOp::Sb { v, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    mem.store_u8(addr, rr!(*v) as u8)
-                        .map_err(|source| SimError::Mem {
-                            pc: *pc as usize,
-                            source,
-                        })?;
-                }
-                FastOp::Sh { v, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    mem.store_u16(addr, rr!(*v) as u16)
-                        .map_err(|source| SimError::Mem {
-                            pc: *pc as usize,
-                            source,
-                        })?;
-                }
-                FastOp::Beq { a, b, t } => {
-                    if rr!(*a) == rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
-                    }
-                }
-                FastOp::Bne { a, b, t } => {
-                    if rr!(*a) != rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
-                    }
-                }
-                FastOp::Bltu { a, b, t } => {
-                    if rr!(*a) < rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
-                    }
-                }
-                FastOp::Bgeu { a, b, t } => {
-                    if rr!(*a) >= rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
-                    }
-                }
-                FastOp::Blt { a, b, t } => {
-                    if (rr!(*a) as i32) < (rr!(*b) as i32) {
-                        pc = *t as usize;
-                        continue 'outer;
-                    }
-                }
-                FastOp::Bge { a, b, t } => {
-                    if (rr!(*a) as i32) >= (rr!(*b) as i32) {
-                        pc = *t as usize;
-                        continue 'outer;
-                    }
-                }
-                FastOp::J(t) => {
-                    pc = *t as usize;
-                    continue 'outer;
-                }
-                FastOp::Call { t, link } => {
-                    regs[RA] = *link;
-                    pc = *t as usize;
-                    continue 'outer;
-                }
-                FastOp::Jr(a) => {
-                    pc = rr!(*a) as usize;
-                    continue 'outer;
-                }
-                FastOp::Ret => {
-                    pc = regs[RA] as usize;
-                    continue 'outer;
-                }
-                FastOp::Clc => *carry = false,
-                FastOp::Nop => {}
-                FastOp::Halt => break 'outer,
-                FastOp::Custom { exec, op, pc } => {
-                    let mut ctx = ExecCtx {
-                        regs,
-                        uregs,
-                        mem,
-                        carry,
-                    };
-                    exec(&mut ctx, op).map_err(|source| SimError::Custom {
-                        pc: *pc as usize,
-                        source,
-                    })?;
-                }
-                FastOp::CustomUnknown { name, pc } => {
-                    return Err(SimError::Illegal {
-                        pc: *pc as usize,
-                        reason: format!("unknown custom instruction `{name}`"),
-                    });
-                }
-            }
-            i += 1;
-        }
-        pc = end; // fell through to the next block's leader
+    #[inline(always)]
+    fn begin(&mut self) -> u64 {
+        0
     }
 
-    Ok(FastRun {
-        executed,
-        classes: ClassCounts {
-            alu: counts[CLS_ALU as usize],
-            mem: counts[CLS_MEM as usize],
-            control: counts[CLS_CTL as usize],
-            mul: counts[CLS_MUL as usize],
-            custom: counts[CLS_CUST as usize],
-        },
-    })
+    #[inline(always)]
+    fn issue(&mut self, _pc: usize, _insn: &Insn, _sink: &mut Sink<'_, '_>) {}
+
+    #[inline(always)]
+    fn data(&mut self, _addr: u32, _tag_fault: bool, _sink: &mut Sink<'_, '_>) {}
+
+    #[inline(always)]
+    fn retire(&mut self, _pc: usize, _insn: &Insn, _latency: u32, _taken: bool) -> Retired {
+        Retired::default()
+    }
+
+    #[inline(always)]
+    fn end(&mut self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use crate::cpu::Cpu;
-    use crate::ext::CustomInsnDef;
-
-    fn decode(src: &str) -> (Program, FastProgram) {
-        let p = assemble(src).unwrap();
-        let fp = FastProgram::decode(&p, &CpuConfig::default(), &ExtensionSet::new());
-        (p, fp)
-    }
+    use crate::config::CpuConfig;
+    use crate::cpu::{Cpu, SimError};
+    use crate::ext::{CustomInsnDef, ExtensionSet};
 
     #[test]
     fn blocks_tile_the_program() {
-        let (_, fp) = decode(
+        let p = assemble(
             "main:
                 movi a0, 3
             loop:
@@ -672,10 +83,10 @@ mod tests {
                 movi a1, 0
                 bne  a0, a1, loop
                 halt",
-        );
-        assert_eq!(fp.ops.len(), 5);
+        )
+        .unwrap();
         // Block boundaries: [0,1) main, [1,4) loop body, [4,5) halt.
-        assert_eq!(fp.block_end, vec![1, 4, 4, 4, 5]);
+        assert_eq!(p.block_ends(), [1, 4, 4, 4, 5]);
     }
 
     #[test]
@@ -715,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_custom_insn_resolved_at_decode() {
+    fn fast_custom_insn_runs_its_handler() {
         let mut ext = ExtensionSet::new();
         ext.register(CustomInsnDef::new("addimm", 5, 100, |ctx, op| {
             let d = op.regs[0].index();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Collect every bench binary's structured `--json` run report into one
-# machine-readable BENCH_10.json document. Each report is validated
+# machine-readable BENCH_15.json document. Each report is validated
 # against the xobs schema (via `xr32-trace check-report`) before it is
 # admitted. Set RUN_MICROBENCH=1 to also run the criterion suites and
 # fold their stable `BENCH,<name>,<median_ns>` lines into the output.
@@ -12,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_10.json}
+OUT=${1:-BENCH_15.json}
 BIN=target/release
 
 cargo build --release -q --package bench --package xserve
@@ -27,8 +27,7 @@ RUNS=(
   "fig5_adcurves 8"
   "fig6_cartesian"
   "sec43_exploration 128 2"
-  "fastpath_gate 3"
-  "xooo_gate"
+  "engine_gate"
   "xserve-bench 1000 1000000"
 )
 

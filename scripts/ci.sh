@@ -44,7 +44,7 @@ target/release/fig5_adcurves --json 8 | target/release/xr32-trace check-report -
 target/release/fig6_cartesian --json | target/release/xr32-trace check-report -
 target/release/sec43_exploration --json 128 2 | target/release/xr32-trace check-report -
 target/release/xopt_gate --json 8 | target/release/xr32-trace check-report -
-target/release/xooo_gate --json | target/release/xr32-trace check-report -
+target/release/engine_gate --json | target/release/xr32-trace check-report -
 
 # Determinism gate: the parallel methodology engine must produce
 # byte-identical reports (modulo host-timing fields, stripped by
@@ -157,36 +157,29 @@ if ! grep -q '"degradations"' <<<"$DEGRADED"; then
 fi
 echo "ci: fault smoke ok (campaign deterministic, fig8 degrades gracefully)"
 
-# Dual-fidelity gates. Co-sim smoke: the pre-decoded fast path must be
-# architecturally bit-identical to the cycle-accurate pipeline across
-# the full kreg golden-verification workload. Speedup smoke: it must
-# also beat the cycle-accurate engine by at least 3x wall clock, so a
-# regression that silently de-optimizes the fast path (or routes it
-# back through the pipeline) fails CI.
-target/release/fastpath_gate 3
-target/release/fastpath_gate --json 3 | target/release/xr32-trace check-report -
-echo "ci: dual-fidelity gates ok (co-sim bit-identical, fast path >= 3x)"
-
-# Core-model gate: the scoreboarded out-of-order pipeline must be
-# ArchState-bit-identical to the in-order pipeline and the fast path
-# across the full kreg golden workload, must win the aggregate cycle
-# count, and its IPC must sit in the sanity window (above in-order, at
-# most the issue width). A timing bug that leaks architectural state,
-# loses the out-of-order win, or over-issues fails CI.
-target/release/xooo_gate
-echo "ci: core-model gate ok (three-engine co-sim bit-identical, OoO wins)"
+# Engine gate: the in-order core, the out-of-order core and the fast
+# path must be ArchState-bit-identical pairwise across the full kreg
+# golden workload; the out-of-order core must win the aggregate cycle
+# count with an IPC in the sanity window (above in-order, at most the
+# issue width); and the fast path must beat the in-order engine by at
+# least 3x wall clock, each engine timed by its fastest of 5 alternating
+# passes. A timing model that leaks architectural state, loses the
+# out-of-order win, over-issues, or routes the fast path back through
+# timing fails CI.
+target/release/engine_gate
+echo "ci: engine gate ok (three-engine co-sim bit-identical, OoO wins, fast path >= 3x)"
 
 # Bench-envelope regression gates. First the historical diff: the
-# committed BENCH_10 envelope must not regress any deterministic metric
+# committed BENCH_15 envelope must not regress any deterministic metric
 # against the committed BENCH_2 baseline beyond the documented 3%
 # legacy drift (model/registry evolution across the intervening
 # changes). Then the reproducibility diff: a freshly collected
-# envelope must match the committed BENCH_10 *exactly* once normalized
+# envelope must match the committed BENCH_15 *exactly* once normalized
 # — any deterministic delta is a regression introduced by the working
 # tree.
-target/release/bench_diff --tol 3 BENCH_2.json BENCH_10.json >/dev/null
+target/release/bench_diff --tol 3 BENCH_2.json BENCH_15.json >/dev/null
 FRESH=$(mktemp /tmp/ci_bench.XXXXXX.json)
 trap 'rm -f "$TRACE" "$FRESH"; rm -rf "$DET" "$KREG" "$FAULT"' EXIT
 scripts/bench_report.sh "$FRESH" >/dev/null 2>&1
-target/release/bench_diff BENCH_10.json "$FRESH"
-echo "ci: bench envelope gates ok (BENCH_2 -> BENCH_10 within drift, fresh run exact)"
+target/release/bench_diff BENCH_15.json "$FRESH"
+echo "ci: bench envelope gates ok (BENCH_2 -> BENCH_15 within drift, fresh run exact)"
