@@ -36,7 +36,7 @@ fn main() {
             if desc.variants != kreg::VariantSource::Generated {
                 continue;
             }
-            for (level, outcome) in secproc::genvar::admitted_variants(desc, &config) {
+            for (level, outcome) in secproc::genvar::admitted_variants(desc, &config).iter() {
                 match outcome {
                     Ok(adm) => {
                         println!("; ==== {} {} ====", desc.id, adm.gen.tag);

@@ -985,7 +985,8 @@ impl<'a> FlowCtx<'a> {
                 gen: None,
                 on_curve: true,
             });
-            let gen_outcomes: Vec<Option<Result<AdmittedVariant, xopt::OptError>>> =
+            let outcomes;
+            let gen_outcomes: Vec<Option<Result<&AdmittedVariant, &xopt::OptError>>> =
                 match desc.variants {
                     kreg::VariantSource::Generated => {
                         // The xopt generation + admission pipeline runs
@@ -999,10 +1000,10 @@ impl<'a> FlowCtx<'a> {
                             // fast path.
                             sp.set_attr("fidelity", "fast");
                         }
-                        let outcomes = genvar::admitted_variants(desc, self.config);
+                        outcomes = genvar::admitted_variants(desc, self.config);
                         if let Some(sp) = self.spans {
                             sp.add_tasks(outcomes.len() as u64);
-                            for (level, outcome) in &outcomes {
+                            for (level, outcome) in outcomes.iter() {
                                 match outcome {
                                     Ok(adm) => sp.event(
                                         "variant-admitted",
@@ -1023,8 +1024,8 @@ impl<'a> FlowCtx<'a> {
                         }
                         drop(gen_span);
                         outcomes
-                            .into_iter()
-                            .map(|(_, outcome)| Some(outcome))
+                            .iter()
+                            .map(|(_, outcome)| Some(outcome.as_ref()))
                             .collect()
                     }
                     kreg::VariantSource::HandWritten => fam.levels.iter().map(|_| None).collect(),
@@ -1038,12 +1039,12 @@ impl<'a> FlowCtx<'a> {
                 match outcome {
                     None => {}
                     Some(Ok(adm)) => {
-                        admitted.push(adm);
+                        admitted.push(adm.clone());
                         is_admitted = true;
                         gen_task = Some(hand_task + 1);
                     }
                     Some(Err(e)) => {
-                        let (l, g) = genvar::gate_verdicts(&e);
+                        let (l, g) = genvar::gate_verdicts(e);
                         lint_ok = l;
                         golden_ok = g;
                         error = Some(e.to_string());
@@ -1107,9 +1108,11 @@ impl<'a> FlowCtx<'a> {
                 None => t.variant.tag(),
             };
             let make_iss = || match t.gen {
-                Some(ix) => {
-                    IssMpn::with_library(config.clone(), &gens[ix].gen.source, gens[ix].ext.clone())
-                }
+                Some(ix) => IssMpn::with_program(
+                    config.clone(),
+                    Arc::clone(&gens[ix].program),
+                    gens[ix].ext.clone(),
+                ),
                 None => IssMpn::with_variant(config.clone(), t.variant),
             };
             let fault_free = || {

@@ -10,32 +10,94 @@
 //! outcome — including the hand-written baseline cycles measured
 //! side-by-side by the flow — as [`GeneratedVariantRecord`]s for run
 //! reports (schema 4's `generated_variants` array).
+//!
+//! Generation and gating depend only on the kernel and the core
+//! configuration, so [`admitted_variants`] runs them once per process
+//! for each such pair and shares the outcome list from then on.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use kreg::{AccelLevel, KernelDescriptor, KernelId};
 use xobs::json::Json;
 use xopt::{GeneratedVariant, OptError};
+use xr32::asm::{assemble, Program};
 use xr32::config::CpuConfig;
 use xr32::ext::ExtensionSet;
 
 use crate::insns;
 
 /// A generated variant that passed both gate halves, with the
-/// extension set it must run under.
+/// extension set it must run under and its assembled code.
+#[derive(Debug, Clone)]
 pub struct AdmittedVariant {
     /// The gated variant (source, tag, pass statistics).
     pub gen: GeneratedVariant,
     /// The custom instructions the variant's blocked loop issues.
     pub ext: ExtensionSet,
+    /// `gen.source`, assembled (see [`crate::IssMpn::with_program`]).
+    pub program: Arc<Program>,
+}
+
+/// Every family level of one kernel with its gate outcome, in registry
+/// order.
+pub type Outcomes = Vec<(AccelLevel, Result<AdmittedVariant, OptError>)>;
+
+/// How many `(kernel, configuration)` outcome lists the admission memo
+/// keeps; the oldest is dropped first. Core configurations can arrive
+/// over the wire, so the memo must not grow with them.
+pub const ADMISSION_MEMO_CAPACITY: usize = 16;
+
+type MemoEntry = (KernelId, CpuConfig, Arc<Outcomes>);
+
+static ADMISSION_MEMO: Mutex<VecDeque<MemoEntry>> = Mutex::new(VecDeque::new());
+
+fn admission_memo() -> std::sync::MutexGuard<'static, VecDeque<MemoEntry>> {
+    // Entries are only ever whole, so a panic elsewhere cannot leave
+    // the memo inconsistent.
+    ADMISSION_MEMO
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`admitted_variants_uncached`], generated and gated once per process
+/// for each kernel and core configuration (compared by value) and
+/// shared from then on, rejections included. The memo holds code and
+/// gate verdicts — never a measured value — and at most
+/// [`ADMISSION_MEMO_CAPACITY`] entries.
+pub fn admitted_variants(desc: &KernelDescriptor, config: &CpuConfig) -> Arc<Outcomes> {
+    let lookup = |memo: &VecDeque<MemoEntry>| {
+        memo.iter()
+            .find(|(kernel, c, _)| *kernel == desc.id && c == config)
+            .map(|(.., outcomes)| Arc::clone(outcomes))
+    };
+    if let Some(hit) = lookup(&admission_memo()) {
+        return hit;
+    }
+    // Generate outside the lock; a thread that lost the race adopts the
+    // winner's (identical) list.
+    let fresh = Arc::new(admitted_variants_uncached(desc, config));
+    let mut memo = admission_memo();
+    if let Some(hit) = lookup(&memo) {
+        return hit;
+    }
+    if memo.len() == ADMISSION_MEMO_CAPACITY {
+        memo.pop_front();
+    }
+    memo.push_back((desc.id, config.clone(), Arc::clone(&fresh)));
+    fresh
+}
+
+/// Number of outcome lists the admission memo currently holds.
+pub fn admission_memo_len() -> usize {
+    admission_memo().len()
 }
 
 /// Generates and gates every family level of `desc`, in registry
 /// order (cheapest first). Each level is independent: one level's
 /// rejection does not stop the others — the flow falls back to the
 /// hand-written variant for that level alone.
-pub fn admitted_variants(
-    desc: &KernelDescriptor,
-    config: &CpuConfig,
-) -> Vec<(AccelLevel, Result<AdmittedVariant, OptError>)> {
+pub fn admitted_variants_uncached(desc: &KernelDescriptor, config: &CpuConfig) -> Outcomes {
     let Some(fam) = desc.family else {
         return Vec::new();
     };
@@ -45,7 +107,12 @@ pub fn admitted_variants(
             let outcome = xopt::generate(desc, level, config).and_then(|gen| {
                 let ext = insns::mpn_extension_set(level.add_lanes, level.mac_lanes);
                 gen.verify_golden(&desc.conv, config, &ext)?;
-                Ok(AdmittedVariant { gen, ext })
+                let program = assemble(&gen.source).map_err(OptError::from_assemble)?;
+                Ok(AdmittedVariant {
+                    gen,
+                    ext,
+                    program: Arc::new(program),
+                })
             });
             (*level, outcome)
         })
@@ -136,8 +203,8 @@ mod tests {
         for kid in [id::ADD_N, id::ADDMUL_1] {
             let outcomes = admitted_variants(desc(kid), &config);
             assert!(!outcomes.is_empty());
-            for (level, outcome) in outcomes {
-                let adm = outcome.unwrap_or_else(|e| {
+            for (level, outcome) in outcomes.iter() {
+                let adm = outcome.as_ref().unwrap_or_else(|e| {
                     panic!(
                         "{kid} level a{}m{} rejected: {e}",
                         level.add_lanes, level.mac_lanes

@@ -17,7 +17,7 @@
 //!   constant-time lint error the canonical kernel does not, and the
 //!   result still passes golden verification.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use pubkey::ops::MpnOps;
@@ -41,14 +41,14 @@ fn admitted() -> &'static Vec<(&'static kreg::KernelDescriptor, AdmittedVariant)
         let config = CpuConfig::default();
         let mut out = Vec::new();
         for desc in generated_descs() {
-            for (level, outcome) in genvar::admitted_variants(desc, &config) {
-                let adm = outcome.unwrap_or_else(|e| {
+            for (level, outcome) in genvar::admitted_variants(desc, &config).iter() {
+                let adm = outcome.as_ref().unwrap_or_else(|e| {
                     panic!(
                         "{} level a{}m{} rejected: {e}",
                         desc.id, level.add_lanes, level.mac_lanes
                     )
                 });
-                out.push((desc, adm));
+                out.push((desc, adm.clone()));
             }
         }
         assert!(out.len() >= 2, "expected at least two generated kernels");
@@ -75,7 +75,11 @@ fn check_against_golden(
     n: usize,
     mut seed: u64,
 ) {
-    let mut iss = IssMpn::with_library(CpuConfig::default(), &adm.gen.source, adm.ext.clone());
+    let mut iss = IssMpn::with_program(
+        CpuConfig::default(),
+        Arc::clone(&adm.program),
+        adm.ext.clone(),
+    );
     match desc.conv {
         kreg::CallConv::VecVec { golden32, .. } => {
             let a = limbs(&mut seed, n);
@@ -143,7 +147,7 @@ proptest! {
             ..CpuConfig::default()
         };
         for desc in generated_descs() {
-            for (level, outcome) in genvar::admitted_variants(desc, &config) {
+            for (level, outcome) in genvar::admitted_variants_uncached(desc, &config) {
                 let adm = outcome.unwrap_or_else(|e| {
                     panic!(
                         "{} a{}m{} rejected under mul={mul_latency} bp={branch_penalty}: {e}",

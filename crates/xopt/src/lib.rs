@@ -80,7 +80,8 @@ pub enum OptError {
 }
 
 impl OptError {
-    pub(crate) fn from_assemble(e: AssembleError) -> OptError {
+    /// The error for a variant source that does not assemble.
+    pub fn from_assemble(e: AssembleError) -> OptError {
         OptError::Analyze(AnalyzeError::Assemble(e))
     }
 }

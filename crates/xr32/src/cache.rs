@@ -23,7 +23,9 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (zero sizes, non-power-of-
-    /// two line size, or capacity not divisible by `line_bytes * ways`).
+    /// two line size, capacity not divisible by `line_bytes * ways`, or
+    /// a set count that is not a power of two — the cache indexes by
+    /// shift and mask).
     pub fn sets(&self) -> usize {
         assert!(self.line_bytes.is_power_of_two() && self.line_bytes >= 4);
         assert!(self.ways >= 1);
@@ -32,7 +34,12 @@ impl CacheConfig {
             lines >= self.ways && lines.is_multiple_of(self.ways),
             "cache capacity must be a whole number of ways"
         );
-        lines / self.ways
+        let sets = lines / self.ways;
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a power of two"
+        );
+        sets
     }
 }
 
@@ -68,14 +75,29 @@ struct Line {
     lru: u64,
 }
 
+/// No remembered line: a line address is at most `u64::MAX >> 2`.
+const NO_LINE: u64 = u64::MAX;
+
 /// A set-associative LRU cache (timing model only).
+///
+/// An address splits into line address (`addr >> line_shift`), set
+/// (`line & set_mask`) and tag (`line >> set_shift`). The line of the
+/// previous access is remembered: a repeat access to it is a hit that
+/// touches nothing but the hit counter. That is exact — the line
+/// already holds the highest LRU stamp in its set, and stamps only
+/// order lines within a set, so no later victim choice changes.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: usize,
+    line_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
     lines: Vec<Line>, // sets * ways
     stats: CacheStats,
     tick: u64,
+    /// Line address of the previous access while that line is still
+    /// resident, else [`NO_LINE`].
+    last_line: u64,
 }
 
 impl Cache {
@@ -89,7 +111,9 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
-            sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             lines: vec![
                 Line {
                     tag: 0,
@@ -100,6 +124,7 @@ impl Cache {
             ],
             stats: CacheStats::default(),
             tick: 0,
+            last_line: NO_LINE,
         }
     }
 
@@ -120,17 +145,34 @@ impl Cache {
         }
         self.stats = CacheStats::default();
         self.tick = 0;
+        self.last_line = NO_LINE;
+    }
+
+    /// The line address of `addr`, and the first slot and tag of its
+    /// set.
+    #[inline(always)]
+    fn locate(&self, addr: u64) -> (u64, usize, u64) {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        (
+            line_addr,
+            set * self.config.ways,
+            line_addr >> self.set_shift,
+        )
     }
 
     /// Performs one access; returns `true` on hit. A miss fills the line
     /// (allocate-on-miss for both reads and writes).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
+        let (line_addr, base, tag) = self.locate(addr);
+        if self.last_line == line_addr {
+            self.stats.hits += 1;
+            return true;
+        }
+        self.last_line = line_addr;
         self.tick += 1;
-        let line_addr = addr / self.config.line_bytes as u64;
-        let set = (line_addr % self.sets as u64) as usize;
-        let tag = line_addr / self.sets as u64;
         let ways = self.config.ways;
-        let base = set * ways;
 
         for i in 0..ways {
             let line = &mut self.lines[base + i];
@@ -165,10 +207,10 @@ impl Cache {
     /// access to the address misses and refills. Statistics are not
     /// touched — this is a state change, not an access.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line_addr = addr / self.config.line_bytes as u64;
-        let set = (line_addr % self.sets as u64) as usize;
-        let tag = line_addr / self.sets as u64;
-        let base = set * self.config.ways;
+        let (line_addr, base, tag) = self.locate(addr);
+        if self.last_line == line_addr {
+            self.last_line = NO_LINE;
+        }
         for i in 0..self.config.ways {
             let line = &mut self.lines[base + i];
             if line.valid && line.tag == tag {

@@ -48,7 +48,8 @@ use super::Clock;
 use crate::area::AreaModel;
 use crate::exec::{Retired, Sink, Timing};
 use crate::isa::Insn;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Structure widths of one out-of-order core configuration.
 ///
@@ -127,9 +128,10 @@ pub(crate) struct OutOfOrder {
     /// Commit times of in-flight instructions (ROB) and memory
     /// operations (LSQ), which free their entries at commit in program
     /// order; completion times of executing ones (reservation
-    /// stations), which free at completion in any order.
+    /// stations), which free at completion in any order — a min-heap,
+    /// since dispatch only ever needs the earliest.
     rob: VecDeque<u64>,
-    rs: Vec<u64>,
+    rs: BinaryHeap<Reverse<u64>>,
     lsq: VecDeque<u64>,
     disp_slots: VecDeque<u64>,
     commit_slots: VecDeque<u64>,
@@ -150,7 +152,7 @@ impl OutOfOrder {
             last_dispatch: 0,
             last_commit: 0,
             rob: VecDeque::with_capacity(params.rob_entries as usize),
-            rs: Vec::with_capacity(params.rs_entries as usize),
+            rs: BinaryHeap::with_capacity(params.rs_entries as usize),
             lsq: VecDeque::with_capacity(params.lsq_entries as usize),
             disp_slots: VecDeque::with_capacity(params.issue_width as usize),
             commit_slots: VecDeque::with_capacity(params.retire_width as usize),
@@ -199,11 +201,9 @@ impl Timing for OutOfOrder {
             }
         }
         if self.rs.len() == p.rs_entries as usize {
-            let rs = &mut self.rs;
-            let min_ix = (0..rs.len())
-                .min_by_key(|&i| rs[i])
-                .expect("non-empty reservation stations");
-            disp = disp.max(rs.swap_remove(min_ix));
+            if let Some(Reverse(free_at)) = self.rs.pop() {
+                disp = disp.max(free_at);
+            }
         }
         if self.disp_slots.len() == p.issue_width.max(1) as usize {
             let oldest = self.disp_slots.pop_front().expect("full dispatch window");
@@ -251,7 +251,7 @@ impl Timing for OutOfOrder {
             _ => {}
         }
         let exec_done = self.ready + self.exec_lat;
-        self.rs.push(exec_done);
+        self.rs.push(Reverse(exec_done));
 
         // Rename-table update: the destination's value exists once
         // execution completes (full bypass — consumers issue against

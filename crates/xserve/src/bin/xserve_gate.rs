@@ -5,7 +5,10 @@
 //!
 //! 1. **Byte-identity** — a job run through the daemon and the same
 //!    [`JobSpec`] run directly in-process produce identical normalized
-//!    reports (volatile wall-clock/throughput keys stripped).
+//!    reports (volatile wall-clock/throughput keys stripped). A `curves`
+//!    job is submitted twice — the first generates and gates the xopt
+//!    variants, the second reuses them from the process's admission
+//!    memo — and both served reports must equal the direct run's.
 //! 2. **Cancellation** — a queued job cancelled before execution
 //!    surfaces the stable `4004 PROTO_CANCELLED` code and counts in
 //!    the scheduler's `cancelled` stat.
@@ -24,6 +27,7 @@ use secproc::error::codes;
 use secproc::job::{JobEnv, JobKind, JobSpec};
 use std::collections::BTreeMap;
 use std::thread;
+use xobs::json::Json;
 use xobs::report::normalize;
 use xpar::Pool;
 use xserve::{Bind, Client, Response, Server, ServerConfig};
@@ -31,6 +35,19 @@ use xserve::{Bind, Client, Response, Server, ServerConfig};
 fn fail(msg: &str) -> ! {
     eprintln!("xserve-gate: FAIL: {msg}");
     std::process::exit(1);
+}
+
+/// Fails unless a served report equals the direct run's after
+/// normalization.
+fn same_report(served: &Json, direct: &Json, what: &str) {
+    let (served_n, direct_n) = (normalize(served), normalize(direct));
+    if served_n != direct_n {
+        eprintln!("--- daemon ---\n{}", served_n.to_string_pretty());
+        eprintln!("--- direct ---\n{}", direct_n.to_string_pretty());
+        fail(&format!(
+            "{what}: daemon and direct reports differ after normalization"
+        ));
+    }
 }
 
 /// A characterization spec small enough for a smoke gate.
@@ -67,13 +84,26 @@ fn main() {
     let direct = spec
         .run(&JobEnv::new(&pool))
         .unwrap_or_else(|e| fail(&format!("direct job: {e}")));
-    let (served_n, direct_n) = (normalize(&served), normalize(&direct.to_json()));
-    if served_n != direct_n {
-        eprintln!("--- daemon ---\n{}", served_n.to_string_pretty());
-        eprintln!("--- direct ---\n{}", direct_n.to_string_pretty());
-        fail("daemon and direct reports differ after normalization");
+    same_report(&served, &direct.to_json(), "characterize");
+    let mut curves = JobSpec::new(JobKind::Curves);
+    curves.limbs = 8;
+    let served: Vec<Json> = ["cold", "warm"]
+        .iter()
+        .map(|memo| {
+            client
+                .run_job(&curves, 0)
+                .unwrap_or_else(|e| fail(&format!("daemon curves job ({memo} memo): {e}")))
+        })
+        .collect();
+    let direct = curves
+        .run(&JobEnv::new(&pool))
+        .unwrap_or_else(|e| fail(&format!("direct curves job: {e}")));
+    for (memo, served) in ["cold", "warm"].iter().zip(&served) {
+        same_report(served, &direct.to_json(), &format!("curves ({memo} memo)"));
     }
-    println!("xserve-gate: byte-identity holds (daemon == direct, normalized)");
+    println!(
+        "xserve-gate: byte-identity holds (daemon == direct, normalized; curves cold + warm memo)"
+    );
 
     // 2. Cancellation: queue a job behind a blocker, cancel it, and
     // expect the stable 4004 code on its stream.
