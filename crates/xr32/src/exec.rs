@@ -351,7 +351,7 @@ impl Run<'_> {
         entry: usize,
         entry_name: &str,
         mut sink: Sink<'_, '_>,
-    ) -> Result<Outcome, SimError> {
+    ) -> Result<Outcome, (u64, SimError)> {
         let (insns, classes_of) = (self.program.insns(), self.program.classes());
         let block_ends = self.program.block_ends();
         let penalty = self.config.branch_penalty;
@@ -367,20 +367,21 @@ impl Run<'_> {
             });
             depth = 1;
         }
-        let fail = |t: &mut T, e: SimError| {
+        // An error reports the instructions that retired before it.
+        let fail = |t: &mut T, retired: u64, e: SimError| {
             t.fail();
-            Err(e)
+            Err((retired, e))
         };
 
         let mut pc = entry;
         'run: while pc != RETURN_SENTINEL as usize {
             let Some(&end) = block_ends.get(pc) else {
-                return fail(t, SimError::PcOutOfRange { pc });
+                return fail(t, executed, SimError::PcOutOfRange { pc });
             };
             let block = pc..end as usize;
             for (insn, &class) in insns[block.clone()].iter().zip(&classes_of[block]) {
                 if executed >= self.fuel {
-                    return fail(t, SimError::OutOfFuel { executed });
+                    return fail(t, executed, SimError::OutOfFuel { executed });
                 }
                 executed += 1;
                 classes[class as usize] += 1;
@@ -388,7 +389,9 @@ impl Run<'_> {
                 let flow =
                     match arch.step(t, pc, insn, self.handlers, self.config.has_mul, &mut sink) {
                         Ok(flow) => flow,
-                        Err(e) => return fail(t, e),
+                        // The faulting instruction itself does not
+                        // retire.
+                        Err(e) => return fail(t, executed - 1, e),
                     };
                 let latency = match insn {
                     Insn::Custom(_) => self.handlers.get(pc).map_or(0, |h| h.latency),

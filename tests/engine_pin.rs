@@ -420,16 +420,16 @@ fn fault_campaign_pins_fired_counts_state_and_errors() {
         "faults",
         &rows,
         &[
-        "io base fired=[3, 440, 5, 0] clock=164752 cycles=5681 d=596/19 state=962975cf510b8feb errors=5 first=\"mpn_sub_n n=33: at insn 22: out-of-range 4-byte access at address 0x20001030\" stream=0d1cf8c7341697aa",
-        "io a2m1 fired=[9, 252, 11, 2] clock=102537 cycles=7839 d=439/42 state=ba28b4062abd0068 errors=5 first=\"mpn_sub_n n=33: at insn 34: custom instruction `stur` failed: out-of-range 4-byte access at address 0x10001040\" stream=fcadaa83775caa08",
-        "io a4m2 fired=[3, 234, 13, 1] clock=89502 cycles=5485 d=260/13 state=c70f308be71b3cd2 errors=3 first=\"mpn_addmul_1 n=33: at insn 59: custom instruction `ldur` failed: out-of-range 4-byte access at address 0x401030\" stream=2abfa56c84041396",
-        "io a8m4 fired=[10, 252, 12, 0] clock=102253 cycles=6593 d=538/9 state=f2fc214e56258151 errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x20001078\" stream=605f5a72b0eb6172",
-        "io a16m4 fired=[3, 241, 7, 0] clock=89210 cycles=4948 d=276/6 state=a80aa13d213afa20 errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x2000104c\" stream=39720be7637f7e0f",
-        "ooo base fired=[3, 440, 5, 0] clock=59977 cycles=3020 d=596/19 state=962975cf510b8feb errors=5 first=\"mpn_sub_n n=33: at insn 22: out-of-range 4-byte access at address 0x20001030\" stream=0d1cf8c7341697aa",
-        "ooo a2m1 fired=[9, 252, 11, 2] clock=35504 cycles=3795 d=439/42 state=ba28b4062abd0068 errors=5 first=\"mpn_sub_n n=33: at insn 34: custom instruction `stur` failed: out-of-range 4-byte access at address 0x10001040\" stream=fcadaa83775caa08",
-        "ooo a4m2 fired=[3, 234, 13, 1] clock=35498 cycles=2912 d=260/13 state=c70f308be71b3cd2 errors=3 first=\"mpn_addmul_1 n=33: at insn 59: custom instruction `ldur` failed: out-of-range 4-byte access at address 0x401030\" stream=2abfa56c84041396",
-        "ooo a8m4 fired=[10, 252, 12, 0] clock=35311 cycles=3375 d=538/9 state=f2fc214e56258151 errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x20001078\" stream=605f5a72b0eb6172",
-        "ooo a16m4 fired=[3, 241, 7, 0] clock=35467 cycles=2675 d=276/6 state=a80aa13d213afa20 errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x2000104c\" stream=39720be7637f7e0f",
+        "io base fired=[3, 440, 5, 0] clock=164752 cycles=5681 d=596/19 state=0e3dd6f46801850e errors=5 first=\"mpn_sub_n n=33: at insn 22: out-of-range 4-byte access at address 0x20001030\" stream=0d1cf8c7341697aa",
+        "io a2m1 fired=[9, 252, 11, 2] clock=102537 cycles=7839 d=439/42 state=abb683e78a3b7b89 errors=5 first=\"mpn_sub_n n=33: at insn 34: custom instruction `stur` failed: out-of-range 4-byte access at address 0x10001040\" stream=fcadaa83775caa08",
+        "io a4m2 fired=[3, 234, 13, 1] clock=89502 cycles=5485 d=260/13 state=f6494d3f1d81814b errors=3 first=\"mpn_addmul_1 n=33: at insn 59: custom instruction `ldur` failed: out-of-range 4-byte access at address 0x401030\" stream=2abfa56c84041396",
+        "io a8m4 fired=[10, 252, 12, 0] clock=102253 cycles=6593 d=538/9 state=97707936f5161c5a errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x20001078\" stream=605f5a72b0eb6172",
+        "io a16m4 fired=[3, 241, 7, 0] clock=89210 cycles=4948 d=276/6 state=b230784a1f8818a9 errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x2000104c\" stream=39720be7637f7e0f",
+        "ooo base fired=[3, 440, 5, 0] clock=59977 cycles=3020 d=596/19 state=0e3dd6f46801850e errors=5 first=\"mpn_sub_n n=33: at insn 22: out-of-range 4-byte access at address 0x20001030\" stream=0d1cf8c7341697aa",
+        "ooo a2m1 fired=[9, 252, 11, 2] clock=35504 cycles=3795 d=439/42 state=abb683e78a3b7b89 errors=5 first=\"mpn_sub_n n=33: at insn 34: custom instruction `stur` failed: out-of-range 4-byte access at address 0x10001040\" stream=fcadaa83775caa08",
+        "ooo a4m2 fired=[3, 234, 13, 1] clock=35498 cycles=2912 d=260/13 state=f6494d3f1d81814b errors=3 first=\"mpn_addmul_1 n=33: at insn 59: custom instruction `ldur` failed: out-of-range 4-byte access at address 0x401030\" stream=2abfa56c84041396",
+        "ooo a8m4 fired=[10, 252, 12, 0] clock=35311 cycles=3375 d=538/9 state=97707936f5161c5a errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x20001078\" stream=605f5a72b0eb6172",
+        "ooo a16m4 fired=[3, 241, 7, 0] clock=35467 cycles=2675 d=276/6 state=b230784a1f8818a9 errors=3 first=\"mpn_mul_1 n=33: at insn 125: out-of-range 4-byte access at address 0x2000104c\" stream=39720be7637f7e0f",
         ],
     );
 }
@@ -521,16 +521,16 @@ fn error_paths_pin_the_timing_state_they_leave() {
         "errors",
         &rows,
         &[
-        "io bad-load: Mem { pc: 3, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=64 retired=0 | clean cycles=102 i=45/1 d=11/1 a2=90",
-        "io unknown-custom: Illegal { pc: 2, reason: \"unknown custom instruction `nosuch`\" } clock=44 retired=0 | clean cycles=102 i=45/1 d=11/1 a2=90",
-        "io out-of-fuel: OutOfFuel { executed: 1000 } clock=2526 retired=0 | clean cycles=82 i=45/1 d=12/0 a2=90",
-        "io mul-without-option: Illegal { pc: 2, reason: \"mul requires the hardware-multiplier option\" } clock=44 retired=0 | clean cycles=102 i=45/1 d=11/1 a2=90",
-        "io bad-load-after-fetch-miss: Mem { pc: 8, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=69 retired=0 | clean cycles=102 i=46/0 d=10/2 a2=90",
-        "ooo bad-load: Mem { pc: 3, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=43 retired=0 | clean cycles=52 i=45/1 d=11/1 a2=90",
-        "ooo unknown-custom: Illegal { pc: 2, reason: \"unknown custom instruction `nosuch`\" } clock=43 retired=0 | clean cycles=52 i=45/1 d=11/1 a2=90",
-        "ooo out-of-fuel: OutOfFuel { executed: 1000 } clock=911 retired=0 | clean cycles=52 i=45/1 d=12/0 a2=90",
-        "ooo mul-without-option: Illegal { pc: 2, reason: \"mul requires the hardware-multiplier option\" } clock=43 retired=0 | clean cycles=52 i=45/1 d=11/1 a2=90",
-        "ooo bad-load-after-fetch-miss: Mem { pc: 8, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=40 retired=0 | clean cycles=65 i=46/0 d=10/2 a2=90",
+        "io bad-load: Mem { pc: 3, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=64 retired=3 | clean cycles=102 i=45/1 d=11/1 a2=90",
+        "io unknown-custom: Illegal { pc: 2, reason: \"unknown custom instruction `nosuch`\" } clock=44 retired=2 | clean cycles=102 i=45/1 d=11/1 a2=90",
+        "io out-of-fuel: OutOfFuel { executed: 1000 } clock=2526 retired=1000 | clean cycles=82 i=45/1 d=12/0 a2=90",
+        "io mul-without-option: Illegal { pc: 2, reason: \"mul requires the hardware-multiplier option\" } clock=44 retired=2 | clean cycles=102 i=45/1 d=11/1 a2=90",
+        "io bad-load-after-fetch-miss: Mem { pc: 8, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=69 retired=8 | clean cycles=102 i=46/0 d=10/2 a2=90",
+        "ooo bad-load: Mem { pc: 3, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=43 retired=3 | clean cycles=52 i=45/1 d=11/1 a2=90",
+        "ooo unknown-custom: Illegal { pc: 2, reason: \"unknown custom instruction `nosuch`\" } clock=43 retired=2 | clean cycles=52 i=45/1 d=11/1 a2=90",
+        "ooo out-of-fuel: OutOfFuel { executed: 1000 } clock=911 retired=1000 | clean cycles=52 i=45/1 d=12/0 a2=90",
+        "ooo mul-without-option: Illegal { pc: 2, reason: \"mul requires the hardware-multiplier option\" } clock=43 retired=2 | clean cycles=52 i=45/1 d=11/1 a2=90",
+        "ooo bad-load-after-fetch-miss: Mem { pc: 8, source: AccessError { addr: 4294967280, width: 4, misaligned: false } } clock=40 retired=8 | clean cycles=65 i=46/0 d=10/2 a2=90",
         ],
     );
 }
