@@ -10,6 +10,8 @@ use kreg::{id, KernelVariant};
 use secproc::insns::mpn_extension_set;
 use secproc::issops::ArchState;
 use secproc::IssMpn;
+use std::sync::Arc;
+use xr32::asm::assemble;
 use xr32::config::CpuConfig;
 use xr32::ext::ExtensionSet;
 
@@ -41,7 +43,7 @@ fn fresh(config: CpuConfig, variant: KernelVariant) -> IssMpn {
             mpn_extension_set(add_lanes, mac_lanes),
         ),
     };
-    IssMpn::with_library(config, &src, ext)
+    IssMpn::with_program(config, Arc::new(assemble(&src).unwrap()), ext)
 }
 
 #[test]

@@ -8,8 +8,10 @@
 //! [`wsp::kreg::KernelError`], never a panic.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wsp::kreg::{self, id, KernelError, LibKind};
 use wsp::secproc::issops::{ArchState, IssMpn, KernelVariant};
+use wsp::xr32::asm::assemble;
 use wsp::xr32::config::CpuConfig;
 use wsp::xr32::{ExtensionSet, Fidelity};
 
@@ -110,9 +112,9 @@ mpn_add_n:
     movi a0, 0
     ret
 ";
+        let wrong = Arc::new(assemble(wrong).expect("the wrong kernel assembles"));
         let run = |fidelity: Fidelity| {
-            let mut iss =
-                IssMpn::with_library(CpuConfig::default(), wrong, ExtensionSet::new());
+            let mut iss = IssMpn::with_program(CpuConfig::default(), Arc::clone(&wrong), ExtensionSet::new());
             iss.set_fidelity(fidelity);
             // 8 limbs of random data virtually always carry somewhere.
             let result = iss.verify32(id::ADD_N, 8, seed);
